@@ -693,7 +693,6 @@ def rule_r7(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                             Finding(path, tokens[j].line, "R7",
                                     f"pooled event slot '{name}' captured into a "
                                     f"{t.text}() callback — the slot can be recycled "
-                                    "(and its 128-byte big-slot storage reused) "
                                     "before the event fires",
                                     "copy the data you need into the callback, or "
                                     "keep an EventHandle and re-resolve it when the "

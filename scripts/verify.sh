@@ -8,7 +8,10 @@
 #      baseline, plus the analyzer's own fixture corpus
 #   4. fault scenarios: the deterministic failure-scenario suite plus an
 #      rbsim --faults smoke run (schedule parse, arming banner, fault report)
-#   5. bench smoke: one short repetition of the engine microbenchmarks
+#   5. bench smoke: one short repetition of the engine microbenchmarks,
+#      plus the end-to-end benchmark's self-test (perfbench/run.py
+#      --self-test: every workload at a tiny size, and the correctness gate
+#      must reject a wrong digest)
 #   6. telemetry smoke: one instrumented rbsim run with per-flow rollups and
 #      the flight recorder armed; validate the Chrome trace, metrics, and
 #      flow-stats artifacts (and any post-mortem) with check_telemetry.py
@@ -102,8 +105,9 @@ if ./build/examples/rbsim mode=long duration=1 warmup=0 \
 fi
 grep -q "line 1" build/fault_smoke/err.txt
 
-echo "=== [5/11] bench smoke ==="
+echo "=== [5/11] bench smoke + benchmark self-test ==="
 cmake --build build -j "$JOBS" --target bench_smoke
+python3 perfbench/run.py --self-test
 
 echo "=== [6/11] telemetry smoke ==="
 mkdir -p build/telemetry_smoke

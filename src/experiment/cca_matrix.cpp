@@ -63,13 +63,10 @@ CcaMatrixCell run_cell(const CcaMatrixConfig& mc, tcp::TcpFlavor cca, int n) {
   const auto prepare = [cca](LongFlowExperimentConfig& c, std::int64_t buffer) {
     apply_cca_profile(c, cca, buffer);
   };
-  cell.min_buffer_packets =
-      min_buffer_for_utilization(cfg, mc.target_utilization, lo, hi, prepare);
-
-  LongFlowExperimentConfig at_min = cfg;
-  at_min.buffer_packets = cell.min_buffer_packets;
-  apply_cca_profile(at_min, cca, cell.min_buffer_packets);
-  cell.utilization_at_min = run_long_flow_experiment(at_min).utilization;
+  // The bisection's answer is one of its probes, so the utilization it
+  // measured there is the cell's; no confirmation run is needed.
+  cell.min_buffer_packets = min_buffer_for_utilization(cfg, mc.target_utilization, lo, hi,
+                                                       prepare, &cell.utilization_at_min);
 
   cell.ratio_vs_sqrt_rule = static_cast<double>(cell.min_buffer_packets) /
                             static_cast<double>(cell.sqrt_rule_packets);

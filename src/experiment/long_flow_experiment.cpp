@@ -218,7 +218,8 @@ std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
 
 std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
                                         double target_utilization, std::int64_t lo,
-                                        std::int64_t hi, const BufferProbePrepare& prepare) {
+                                        std::int64_t hi, const BufferProbePrepare& prepare,
+                                        double* utilization_at_answer) {
   assert(lo >= 1 && hi >= lo);
   auto measure = [&](std::int64_t buffer) {
     config.buffer_packets = buffer;
@@ -226,17 +227,23 @@ std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
     return run_long_flow_experiment(config).utilization;
   };
 
-  if (measure(hi) < target_utilization) return hi;  // unreachable within range
-
-  while (lo < hi) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (measure(mid) >= target_utilization) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  // `hi` is always a probed buffer and `at_hi` what it measured: the loop
+  // only lowers `hi` onto a probe that met the target, and ends at lo == hi.
+  double at_hi = measure(hi);
+  if (at_hi >= target_utilization) {  // else unreachable within range: answer hi
+    while (lo < hi) {
+      const std::int64_t mid = lo + (hi - lo) / 2;
+      const double u = measure(mid);
+      if (u >= target_utilization) {
+        hi = mid;
+        at_hi = u;
+      } else {
+        lo = mid + 1;
+      }
     }
   }
-  return lo;
+  if (utilization_at_answer != nullptr) *utilization_at_answer = at_hi;
+  return hi;
 }
 
 }  // namespace rbs::experiment

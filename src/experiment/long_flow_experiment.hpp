@@ -135,9 +135,13 @@ struct LongFlowExperimentResult {
 using BufferProbePrepare = std::function<void(LongFlowExperimentConfig&, std::int64_t)>;
 
 /// Bisection with a per-probe prepare hook (empty hook = the plain variant).
+/// The answer is always a probed buffer; when `utilization_at_answer` is
+/// non-null it receives the utilization that probe measured, so callers
+/// need not re-run the answer's configuration to report it.
 [[nodiscard]] std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
                                                       double target_utilization,
                                                       std::int64_t lo, std::int64_t hi,
-                                                      const BufferProbePrepare& prepare);
+                                                      const BufferProbePrepare& prepare,
+                                                      double* utilization_at_answer = nullptr);
 
 }  // namespace rbs::experiment

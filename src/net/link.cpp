@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -25,11 +26,31 @@ Link::Link(sim::Simulation& sim, std::string name, Config config, std::unique_pt
            PacketSink& downstream)
     : sim_{sim},
       name_{std::move(name)},
-      config_{config},
+      config_{checked(config, name_)},
       queue_{std::move(queue)},
-      downstream_{downstream} {
-  assert(config_.rate.bps() > 0);
+      downstream_{downstream},
+      wire_{sim.scheduler().add_lane(
+          this,
+          [](void* self, const void* payload) {
+            WireItem item;
+            std::memcpy(&item, payload, sizeof item);
+            static_cast<Link*>(self)->arrive(item);
+          },
+          sim::EventClass::kLinkPropagation)} {
   assert(queue_ != nullptr);
+}
+
+// Checked in every build type: a zero or negative rate would otherwise
+// yield infinite or negative serialization times and a run that never ends
+// or reports nonsense.
+Link::Config Link::checked(const Config& config, const std::string& name) {
+  if (!(config.rate.bps() > 0.0) || !std::isfinite(config.rate.bps())) {
+    throw std::invalid_argument("link '" + name + "': rate must be positive and finite");
+  }
+  if (config.propagation < sim::SimTime::zero()) {
+    throw std::invalid_argument("link '" + name + "': propagation delay must be >= 0");
+  }
+  return config;
 }
 
 const char* Link::trace_qlen_name() {
@@ -125,20 +146,13 @@ void Link::finish_transmission(const Packet& p) {
   if (on_delivered) on_delivered(p);
   if (on_queue_delay) on_queue_delay(sim_.now() - p.hop_arrival);
 
-  // Hand the packet to propagation; it no longer occupies the transmitter.
-  // The lambda captures the down epoch it was launched in: if the link goes
+  // Hand the packet to the wire; it no longer occupies the transmitter.
+  // The item carries the down epoch it was launched in: if the link goes
   // down while the packet is on the wire, the epoch no longer matches and
-  // the packet is lost (accounted as an in-flight fault drop).
-  sim_.after(
-      config_.propagation + fault_extra_propagation_,
-      [this, p, epoch = down_epoch_] {
-        if (epoch != down_epoch_) {
-          count_fault_drop("inflight-drop", &LinkFaultStats::inflight_drops);
-          return;
-        }
-        downstream_.receive(p);
-      },
-      sim::EventClass::kLinkPropagation);
+  // the packet is lost (accounted as an in-flight fault drop on arrival).
+  sim_.scheduler().lane_push(wire_,
+                             sim_.now() + config_.propagation + fault_extra_propagation_,
+                             WireItem{p, down_epoch_});
 
   if (fault_frozen_) {
     busy_ = false;
@@ -149,6 +163,14 @@ void Link::finish_transmission(const Packet& p) {
   } else {
     busy_ = false;
   }
+}
+
+void Link::arrive(const WireItem& item) {
+  if (item.epoch != down_epoch_) {
+    count_fault_drop("inflight-drop", &LinkFaultStats::inflight_drops);
+    return;
+  }
+  downstream_.receive(item.packet);
 }
 
 void Link::maybe_resume_service() {

@@ -53,8 +53,13 @@ class Link final : public PacketSink {
   /// `queue` buffers packets while the link is busy; `downstream` receives
   /// them after serialization + propagation. `downstream` must outlive the
   /// link.
+  /// Throws std::invalid_argument unless the rate is positive and finite
+  /// and the propagation delay is non-negative.
   Link(sim::Simulation& sim, std::string name, Config config, std::unique_ptr<Queue> queue,
        PacketSink& downstream);
+  /// The scheduler's wire lane holds a pointer to this link.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Offers a packet for transmission (possibly queueing or dropping it).
   void receive(const Packet& p) override;
@@ -126,8 +131,16 @@ class Link final : public PacketSink {
   std::function<void(sim::SimTime)> on_queue_delay;
 
  private:
+  /// A packet on the wire, tagged with the down epoch it was launched in.
+  struct WireItem {
+    Packet packet;
+    std::uint64_t epoch{0};
+  };
+
+  static Config checked(const Config& config, const std::string& name);
   void start_transmission(const Packet& p);
   void finish_transmission(const Packet& p);
+  void arrive(const WireItem& item);
   void maybe_resume_service();
   void count_fault_drop(const char* reason, std::uint64_t LinkFaultStats::* counter);
 
@@ -144,8 +157,12 @@ class Link final : public PacketSink {
   bool busy_{false};
   /// The packet currently being serialized (valid while busy_). Kept here
   /// rather than captured in the completion event so that event's capture
-  /// stays within the EventPool's inline-slot budget.
+  /// stays within the EventPool's inline-slot budget instead of costing a
+  /// heap allocation per packet.
   Packet in_service_{};
+  /// This link's wire: packets propagating to `downstream_`, in arrival
+  /// order, as items of one scheduler lane.
+  sim::Scheduler::LaneId wire_;
   LinkStats stats_;
   const char* trace_qlen_name_{nullptr};
   /// Cached registry counter (registry storage is stable); created on the
@@ -160,8 +177,8 @@ class Link final : public PacketSink {
   sim::SimTime fault_extra_propagation_{};
   double fault_loss_p_{0.0};
   sim::Rng* fault_loss_rng_{nullptr};
-  /// Bumped on every down edge; propagation events capture the epoch they
-  /// were launched in and discard themselves if the link went down since
+  /// Bumped on every down edge; wire items carry the epoch they were
+  /// launched in and are discarded on arrival if the link went down since
   /// (the packet was on the wire when the cable was cut).
   std::uint64_t down_epoch_{0};
   /// Live serialization-completion event, cancellable on a down edge.

@@ -21,10 +21,14 @@ constexpr std::size_t kReapMinCancelled = 64;
 
 Scheduler::~Scheduler() {
   // Destroy the callbacks of events that never fired so captured state
-  // (flow objects, stats sinks, ...) is released.
-  for (const ReadyEntry& entry : due_.entries()) pool_.release(entry.slot);
-  for (const ReadyEntry& entry : overflow_.entries()) pool_.release(entry.slot);
-  wheel_.for_each([this](int, int, const ReadyEntry& entry) { pool_.release(entry.slot); });
+  // (flow objects, stats sinks, ...) is released. Lane items hold only
+  // trivially copyable payloads and go with their slabs.
+  const auto release = [this](const ReadyEntry& entry) {
+    if (!is_lane_entry(entry)) pool_.release(entry.slot);
+  };
+  for (const ReadyEntry& entry : due_.entries()) release(entry);
+  for (const ReadyEntry& entry : overflow_.entries()) release(entry);
+  wheel_.for_each([&release](int, int, const ReadyEntry& entry) { release(entry); });
 }
 
 void Scheduler::EventHandle::cancel() noexcept {
@@ -35,6 +39,55 @@ bool Scheduler::EventHandle::pending() const noexcept {
   if (scheduler_ == nullptr) return false;
   const EventPool::Slot& slot = scheduler_->pool_[slot_];
   return slot.generation() == generation_ && slot.armed();
+}
+
+Scheduler::LaneId Scheduler::add_lane(void* owner, LaneDeliver deliver, EventClass cls) {
+  const auto id = static_cast<LaneId>(lanes_.size());
+  RBS_INVARIANT(id < kLaneBit, "lane ids must stay clear of the lane tag bit");
+  lanes_.push_back(Lane{kNoNode, kNoNode, owner, deliver, cls});
+  return id;
+}
+
+void Scheduler::arm_lane_node(const Lane& lane, LaneId id, LaneNode& node) {
+  node.queued = true;
+  push_ready(ReadyEntry{node.time, node.seq, kLaneBit | id, lane.cls});
+}
+
+// The pushed node holds the largest sequence number issued so far, so it
+// sorts after every node with the same or an earlier time: a constant-delay
+// wire always appends. Only a shrunken delay (fault_set_extra_propagation)
+// puts a node ahead of the tail, and only then is the lane walked.
+void Scheduler::lane_insert(Lane& lane, LaneId id, std::uint32_t idx) {
+  LaneNode& node = lane_nodes_[idx];
+  if (lane.head == kNoNode) {
+    node.next = kNoNode;
+    lane.head = lane.tail = idx;
+    arm_lane_node(lane, id, node);
+    return;
+  }
+  if (lane_nodes_[lane.tail].time <= node.time) {
+    node.next = kNoNode;
+    lane_nodes_[lane.tail].next = idx;
+    lane.tail = idx;
+    return;
+  }
+  if (node.time < lane_nodes_[lane.head].time) {
+    // Overtakes the head: the new head needs its own ready entry. The old
+    // head keeps its entry, which now sorts after this node's.
+    node.next = lane.head;
+    lane.head = idx;
+    arm_lane_node(lane, id, node);
+    return;
+  }
+  std::uint32_t prev = lane.head;
+  while (lane_nodes_[lane_nodes_[prev].next].time <= node.time) prev = lane_nodes_[prev].next;
+  node.next = lane_nodes_[prev].next;
+  lane_nodes_[prev].next = idx;
+}
+
+void Scheduler::corrupt_lane_order_for_test(LaneId lane) noexcept {
+  LaneNode& first = lane_nodes_[lanes_[lane].head];
+  std::swap(first.time, lane_nodes_[first.next].time);
 }
 
 void Scheduler::enqueue_far(const ReadyEntry& entry) {
@@ -59,7 +112,7 @@ void Scheduler::cancel_slot(std::uint32_t idx, std::uint32_t generation) noexcep
 
 void Scheduler::reap() {
   const auto dead = [this](const ReadyEntry& entry) {
-    if (pool_[entry.slot].armed()) return false;
+    if (entry_live(entry)) return false;
     pool_.release(entry.slot);
     return true;
   };
@@ -70,7 +123,7 @@ void Scheduler::reap() {
 }
 
 void Scheduler::drop_dead_due_tops() {
-  while (!due_.empty() && !pool_[due_.min().slot].armed()) {
+  while (!due_.empty() && !entry_live(due_.min())) {
     const ReadyEntry entry = due_.pop_min();
     --cancelled_in_queue_;
     pool_.release(entry.slot);
@@ -94,7 +147,7 @@ void Scheduler::refill_due() {
   const std::int64_t start = wheel_.drain_earliest_bucket(scratch_);
   due_limit_ = SimTime::picoseconds(start + TimingWheel::kBucketWidthPs);
   for (const ReadyEntry& entry : scratch_) {
-    if (pool_[entry.slot].armed()) {
+    if (entry_live(entry)) {
       due_.push(entry);
     } else {
       --cancelled_in_queue_;
@@ -103,7 +156,7 @@ void Scheduler::refill_due() {
   }
   while (!overflow_.empty() && overflow_.min().time < due_limit_) {
     const ReadyEntry entry = overflow_.pop_min();
-    if (pool_[entry.slot].armed()) {
+    if (entry_live(entry)) {
       due_.push(entry);
     } else {
       --cancelled_in_queue_;
@@ -127,25 +180,56 @@ bool Scheduler::execute_next() {
   return true;
 }
 
-void Scheduler::execute_prepared() {
-  const ReadyEntry entry = due_.pop_min();
-  EventPool::Slot& slot = pool_[entry.slot];
-  RBS_INVARIANT(entry.time >= now_, "event would move the simulation clock backwards");
-  now_ = entry.time;
-  slot.disarm();  // fired: pending() is false, cancel() a no-op
-  --live_events_;
-  ++executed_;
-  // Invoke straight from the slot: slabs never move, and the slot is not
-  // recycled until after the callback returns, so the callback may freely
-  // schedule or cancel other events (growing the pool if needed).
+template <typename Body>
+void Scheduler::run_body(EventClass cls, Body&& body) {
   if (profiler_ != nullptr) {
     profiler_->begin_event();
-    slot.invoke();
-    profiler_->end_event(entry.cls);
+    body();
+    profiler_->end_event(cls);
   } else {
-    slot.invoke();
+    body();
   }
-  pool_.release(entry.slot);
+}
+
+// Pops the lane's head (the node this entry was armed for: no other node of
+// the lane can sort before it), arms the next head unless it already holds
+// an entry, then delivers. The node is recycled only after the owner
+// returns, so the payload stays valid while the owner pushes more items.
+void Scheduler::fire_lane_head(const ReadyEntry& entry) {
+  Lane& lane = lanes_[entry.slot & ~kLaneBit];
+  const std::uint32_t idx = lane.head;
+  const LaneNode& node = lane_nodes_[idx];
+  RBS_INVARIANT(node.seq == entry.seq, "lane entry fired for a node that is not the head");
+  lane.head = node.next;
+  if (lane.head == kNoNode) {
+    lane.tail = kNoNode;
+  } else if (LaneNode& next = lane_nodes_[lane.head]; !next.queued) {
+    arm_lane_node(lane, entry.slot & ~kLaneBit, next);
+  }
+  // The owner may register lanes (reallocating lanes_), so copy out first.
+  void* const owner = lane.owner;
+  const LaneDeliver deliver = lane.deliver;
+  run_body(entry.cls, [&] { deliver(owner, node.payload); });
+  lane_nodes_.release(idx);
+}
+
+void Scheduler::execute_prepared() {
+  const ReadyEntry entry = due_.pop_min();
+  RBS_INVARIANT(entry.time >= now_, "event would move the simulation clock backwards");
+  now_ = entry.time;
+  --live_events_;
+  ++executed_;
+  if (is_lane_entry(entry)) {
+    fire_lane_head(entry);
+  } else {
+    EventPool::Slot& slot = pool_[entry.slot];
+    slot.disarm();  // fired: pending() is false, cancel() a no-op
+    // Invoke straight from the slot: slabs never move, and the slot is not
+    // recycled until after the callback returns, so the callback may freely
+    // schedule or cancel other events (growing the pool if needed).
+    run_body(entry.cls, [&slot] { slot.invoke(); });
+    pool_.release(entry.slot);
+  }
   if (audit_every_ != 0 && ++events_since_audit_ >= audit_every_) {
     // Fires between events: the finished slot is recycled, so the audit
     // sees a consistent queue/pool pairing.
@@ -175,6 +259,7 @@ void Scheduler::audit(check::AuditReport& report) const {
   }
 
   std::size_t armed = 0;
+  std::size_t lane_entries = 0;
   const auto check_entry = [&](const ReadyEntry& entry, const char* where) {
     if (entry.time < now_) {
       report.violation(std::string{where} + " event at " + std::to_string(entry.time.ps()) +
@@ -184,7 +269,11 @@ void Scheduler::audit(check::AuditReport& report) const {
       report.violation(std::string{where} + " event carries unissued sequence number " +
                        std::to_string(entry.seq));
     }
-    if (pool_[entry.slot].armed()) ++armed;
+    if (is_lane_entry(entry)) {
+      ++lane_entries;
+    } else if (pool_[entry.slot].armed()) {
+      ++armed;
+    }
   };
 
   for (const ReadyEntry& entry : due_.entries()) {
@@ -229,21 +318,75 @@ void Scheduler::audit(check::AuditReport& report) const {
     report.violation("wheel entry outside its level's one-lap window from the base");
   }
 
-  if (armed != live_events_) {
+  // Every lane item is a live event; every other live event is an armed
+  // slot. audit_lanes() checks the allocated lane nodes against the lanes.
+  const std::size_t lane_items = lane_nodes_.allocated();
+  if (armed + lane_items != live_events_) {
     report.violation("live-event count " + std::to_string(live_events_) + " but " +
-                     std::to_string(armed) + " armed entries across the queues");
+                     std::to_string(armed) + " armed entries across the queues + " +
+                     std::to_string(lane_items) + " lane items");
   }
-  if (live_events_ + cancelled_in_queue_ != queue_entries()) {
-    report.violation("live (" + std::to_string(live_events_) + ") + cancelled (" +
-                     std::to_string(cancelled_in_queue_) + ") != queue entries (" +
-                     std::to_string(queue_entries()) + ")");
+  const std::size_t slot_entries = queue_entries() - lane_entries;
+  if (armed + cancelled_in_queue_ != slot_entries) {
+    report.violation("armed (" + std::to_string(armed) + ") + cancelled (" +
+                     std::to_string(cancelled_in_queue_) + ") != slot entries (" +
+                     std::to_string(slot_entries) + ")");
   }
   // Slot conservation: outside callback execution every allocated pool slot
   // is referenced by exactly one queue entry.
-  if (pool_.allocated() != queue_entries()) {
+  if (pool_.allocated() != slot_entries) {
     report.violation("event pool has " + std::to_string(pool_.allocated()) +
-                     " allocated slots but the queues hold " + std::to_string(queue_entries()) +
-                     " entries (slot leak or double-release)");
+                     " allocated slots but the queues hold " + std::to_string(slot_entries) +
+                     " slot entries (slot leak or double-release)");
+  }
+  audit_lanes(report, lane_entries);
+}
+
+void Scheduler::audit_lanes(check::AuditReport& report, std::size_t lane_entries) const {
+  std::size_t items = 0;
+  std::size_t queued = 0;
+  for (std::size_t id = 0; id < lanes_.size(); ++id) {
+    const Lane& lane = lanes_[id];
+    const std::string name = "lane " + std::to_string(id);
+    if (lane.head == kNoNode) {
+      if (lane.tail != kNoNode) report.violation(name + " is empty but has a tail");
+      continue;
+    }
+    if (!lane_nodes_[lane.head].queued) {
+      report.violation(name + " is non-empty but its head has no ready entry");
+    }
+    std::uint32_t last = kNoNode;
+    for (std::uint32_t idx = lane.head; idx != kNoNode;
+         idx = lane_nodes_[idx].next) {
+      const LaneNode& node = lane_nodes_[idx];
+      if (++items > lane_nodes_.allocated()) {
+        report.violation(name + " is longer than the allocated lane nodes (a cycle?)");
+        return;
+      }
+      if (node.queued) ++queued;
+      if (node.time < now_) {
+        report.violation(name + " holds an item at " + std::to_string(node.time.ps()) +
+                         " ps, in the past (now " + std::to_string(now_.ps()) + " ps)");
+      }
+      if (last != kNoNode) {
+        const LaneNode& prev = lane_nodes_[last];
+        if (node.time < prev.time || (node.time == prev.time && node.seq < prev.seq)) {
+          report.violation(name + " is not sorted by (time, seq) at " +
+                           std::to_string(node.time.ps()) + " ps");
+        }
+      }
+      last = idx;
+    }
+    if (last != lane.tail) report.violation(name + "'s tail is not its last item");
+  }
+  if (items != lane_nodes_.allocated()) {
+    report.violation("lane node pool has " + std::to_string(lane_nodes_.allocated()) +
+                     " allocated nodes but the lanes hold " + std::to_string(items) +
+                     " items (node leak or double-release)");
+  }
+  if (queued != lane_entries) {
+    report.violation(std::to_string(queued) + " lane items are marked queued but the queues hold " +
+                     std::to_string(lane_entries) + " lane entries");
   }
 }
 

@@ -28,11 +28,22 @@
 // Cancellation marks the pool slot and queues reap dead entries lazily —
 // plus eagerly, in one sweep, whenever cancelled entries come to dominate
 // the queue — so TCP timer churn cannot grow the queue without bound.
+//
+// Wire lanes carry the one kind of event that dominates packet simulations:
+// a packet propagating along a link. A link's delay is constant, so its wire
+// is a FIFO; instead of one callback event per packet, each link owns a lane
+// (add_lane) whose items are plain nodes from one shared slab pool, and only
+// the lane's head sits in the ready queue. Every item still reserves its own
+// sequence number when it is pushed, and a head is armed at its reserved
+// (time, seq), so the global fire order is exactly the order the items
+// would have fired in as individual events.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -133,6 +144,15 @@ class Scheduler {
   /// events.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
+  /// Identifies a wire lane registered with add_lane().
+  using LaneId = std::uint32_t;
+  /// Receives one lane item when it fires: the owner the lane was
+  /// registered with, and the item's payload (a copy of the object passed
+  /// to lane_push(), valid for the duration of the call).
+  using LaneDeliver = void (*)(void* owner, const void* payload);
+  /// Largest lane payload: a 64-byte Packet plus an 8-byte tag.
+  static constexpr std::size_t kLanePayloadBytes = 72;
+
   /// Schedules `cb` at absolute time `t`. A target earlier than now() is
   /// clamped to now() — the event fires on the current tick, after the
   /// events already due — so stale timers can never move the clock
@@ -147,12 +167,7 @@ class Scheduler {
     pool_.emplace(idx, std::forward<F>(cb));
     EventPool::Slot& slot = pool_[idx];
     slot.arm();
-    const ReadyEntry entry{t, next_seq_++, idx, cls};
-    if (t < due_limit_) {
-      due_.push(entry);  // heap backend always lands here (infinite window)
-    } else {
-      enqueue_far(entry);  // wheel backend: O(1) bucket or overflow heap
-    }
+    push_ready(ReadyEntry{t, next_seq_++, idx, cls});
     ++live_events_;
     return EventHandle{this, idx, slot.generation()};
   }
@@ -161,6 +176,34 @@ class Scheduler {
   template <typename F>
   EventHandle schedule_after(SimTime delay, F&& cb, EventClass cls = EventClass::kGeneric) {
     return schedule_at(now_ + delay, std::forward<F>(cb), cls);
+  }
+
+  /// Registers a wire lane: items pushed onto it fire `deliver(owner, ...)`
+  /// in (time, seq) order, each as one event of class `cls`. `owner` must
+  /// stay valid while the lane holds items. Registration allocates nothing
+  /// beyond the lane's entry in a table.
+  LaneId add_lane(void* owner, LaneDeliver deliver, EventClass cls);
+
+  /// Puts `payload` on `lane`, to be delivered at absolute time `t` (clamped
+  /// to now(), like schedule_at). The item reserves its sequence number
+  /// here, exactly as schedule_at would, so it fires in the same place in
+  /// the global order as an event scheduled now. Items arriving no earlier
+  /// than the lane's tail (a constant-delay wire) append in O(1); an
+  /// earlier one (the delay shrank) is sorted in. Items cannot be cancelled.
+  template <typename T>
+  void lane_push(LaneId lane, SimTime t, const T& payload) {
+    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= kLanePayloadBytes &&
+                      alignof(T) <= alignof(std::uint64_t),
+                  "lane payloads are trivially copied into fixed-size lane nodes");
+    if (t < now_) t = now_;
+    const std::uint32_t idx = lane_nodes_.allocate();
+    LaneNode& node = lane_nodes_[idx];
+    node.time = t;
+    node.seq = next_seq_++;
+    node.queued = false;
+    std::memcpy(node.payload, &payload, sizeof(T));
+    ++live_events_;
+    lane_insert(lanes_[lane], lane, idx);
   }
 
   /// Runs until the event queue is empty or stop() is called.
@@ -173,27 +216,32 @@ class Scheduler {
   /// Requests that run()/run_until() return after the current callback.
   void stop() noexcept { stopped_ = true; }
 
-  /// Number of live events still scheduled to fire. Cancelled-but-unreaped
-  /// queue entries are excluded, so this is exactly the number of callbacks
-  /// that would still execute if the scheduler ran to completion.
+  /// Number of live events still scheduled to fire, lane items included.
+  /// Cancelled-but-unreaped queue entries are excluded, so this is exactly
+  /// the number of callbacks that would still execute if the scheduler ran
+  /// to completion.
   [[nodiscard]] std::size_t pending_events() const noexcept { return live_events_; }
 
   /// Total callbacks executed so far.
   [[nodiscard]] std::uint64_t executed_events() const noexcept { return executed_; }
 
   /// Total event slots ever allocated (high-water mark of concurrent
-  /// events, rounded up to a slab). Exposed so tests can assert that
-  /// schedule/cancel churn reuses memory instead of growing it.
+  /// callback events, rounded up to a slab; lane items are not events in
+  /// this sense). Exposed so tests can assert that schedule/cancel churn
+  /// reuses memory instead of growing it.
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return pool_.capacity(); }
 
-  /// Big-slot counterpart of pool_capacity(): slots ever created for
-  /// callbacks whose captures exceed the inline budget (the per-packet link
-  /// events). Bounded-memory tests assert churn recycles these too.
-  [[nodiscard]] std::size_t pool_big_capacity() const noexcept { return pool_.big_capacity(); }
+  /// Lane nodes ever created: the high-water mark of items on all lanes at
+  /// once, rounded up to a slab. Bounded-memory tests assert that packet
+  /// churn recycles nodes.
+  [[nodiscard]] std::size_t lane_node_capacity() const noexcept {
+    return lane_nodes_.capacity();
+  }
 
   /// Raw queue entries across all backend structures (due heap + wheel
-  /// buckets + overflow heap), including cancelled ones awaiting reap (for
-  /// tests of the reaping policy; experiments should use pending_events()).
+  /// buckets + overflow heap), including cancelled ones awaiting reap and
+  /// one per armed lane head (for tests of the reaping policy; experiments
+  /// should use pending_events()).
   [[nodiscard]] std::size_t queue_entries() const noexcept {
     return due_.size() + wheel_.size() + overflow_.size();
   }
@@ -221,13 +269,68 @@ class Scheduler {
   /// Recounts scheduler internals and reports inconsistencies: due/overflow
   /// heap order, wheel bucket placement and window membership, no event
   /// scheduled in the past, live/cancelled bookkeeping vs. actual queue
-  /// contents, and event-pool slot conservation. Must not be called from
+  /// contents, event-pool slot conservation, and lane shape (each lane
+  /// sorted, each non-empty lane's head armed, allocated lane nodes equal
+  /// to the total lane length). Must not be called from
   /// inside an executing callback (the in-flight event's slot would be
   /// counted as leaked); the audit-hook cadence and any call made while the
   /// scheduler is not running are safe.
   void audit(check::AuditReport& report) const;
 
+  /// Swaps the arrival times of `lane`'s first two items, leaving the lane
+  /// unsorted, so tests can check that audit() notices. The lane must hold
+  /// at least two items.
+  void corrupt_lane_order_for_test(LaneId lane) noexcept;
+
  private:
+  /// ReadyEntry::slot bit marking an armed lane head; the low bits hold the
+  /// LaneId. Pool slot indices never reach it.
+  static constexpr std::uint32_t kLaneBit = 0x8000'0000u;
+  /// "No node": an empty lane's head and tail, the last node's next.
+  static constexpr std::uint32_t kNoNode = EventPool::kNullIndex;
+
+  /// One item on a lane. `next` links the lane (or, while free, the pool's
+  /// free list). `queued` is set once a ready entry carrying this node's
+  /// (time, seq) has been pushed: a node pushed ahead of an armed head
+  /// gets its own entry, and the displaced head keeps its entry, which
+  /// cannot pop before that node is the head again.
+  struct LaneNode {
+    SimTime time;
+    std::uint64_t seq{0};
+    std::uint32_t next{kNoNode};
+    bool queued{false};
+    alignas(std::uint64_t) unsigned char payload[kLanePayloadBytes];
+  };
+  static_assert(sizeof(LaneNode) == 96, "lane node layout drifted");
+
+  struct Lane {
+    std::uint32_t head{kNoNode};
+    std::uint32_t tail{kNoNode};
+    void* owner{nullptr};
+    LaneDeliver deliver{nullptr};
+    EventClass cls{EventClass::kGeneric};
+  };
+
+  [[nodiscard]] static bool is_lane_entry(const ReadyEntry& entry) noexcept {
+    return (entry.slot & kLaneBit) != 0;
+  }
+  /// Lane heads are never cancelled; slot entries are live while armed.
+  [[nodiscard]] bool entry_live(const ReadyEntry& entry) const noexcept {
+    return is_lane_entry(entry) || pool_[entry.slot].armed();
+  }
+  void push_ready(const ReadyEntry& entry) {
+    if (entry.time < due_limit_) {
+      due_.push(entry);  // heap backend always lands here (infinite window)
+    } else {
+      enqueue_far(entry);  // wheel backend: O(1) bucket or overflow heap
+    }
+  }
+  void arm_lane_node(const Lane& lane, LaneId id, LaneNode& node);
+  void lane_insert(Lane& lane, LaneId id, std::uint32_t idx);
+  void fire_lane_head(const ReadyEntry& entry);
+  template <typename Body>
+  void run_body(EventClass cls, Body&& body);
+
   bool execute_next();       // fires one event; false if nothing pending
   void execute_prepared();   // fires due_.min(); prepare_next() must be true
   bool prepare_next();       // surfaces the earliest live event at due_.min()
@@ -236,6 +339,7 @@ class Scheduler {
   void drop_dead_due_tops();
   void cancel_slot(std::uint32_t idx, std::uint32_t generation) noexcept;
   void reap();  // one sweep removing every cancelled entry from all queues
+  void audit_lanes(check::AuditReport& report, std::size_t lane_entries) const;
 
   SimTime now_{SimTime::zero()};
   std::uint64_t next_seq_{0};
@@ -252,6 +356,8 @@ class Scheduler {
   EventHeap overflow_;      // beyond the wheel horizon (rare, far timers)
   std::vector<ReadyEntry> scratch_;  // reused bucket-drain buffer
   EventPool pool_;
+  std::vector<Lane> lanes_;
+  Slabs<LaneNode, 9> lane_nodes_;  // 512 nodes (48 KiB) per slab, shared by all lanes
   std::uint64_t audit_every_{0};
   std::uint64_t events_since_audit_{0};
   std::function<void()> audit_hook_;

@@ -1,9 +1,8 @@
 // rbs-analyze-fixture-expect: R7
 // A pointer to a pooled event slot smuggled into a scheduled callback via
 // an init-capture dodges R5 (no by-reference capture) but not the lifetime
-// hazard: the slot is recycled when its event fires or is cancelled, and
-// big-slot (128-byte) storage is reused for the next oversized callback —
-// the classic use-after-recycle.
+// hazard: the slot is recycled when its event fires or is cancelled and
+// reused for the next callback — the classic use-after-recycle.
 #include <cstddef>
 
 struct SimTime {};

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_schedule.hpp"
@@ -245,6 +246,61 @@ TEST_F(FaultLinkTest, ExtraPropagationDelaysDelivery) {
   EXPECT_EQ(sink_.arrivals_[0].time, 20_ms);  // 8 + 5 + 7
   EXPECT_THROW(link_.fault_set_extra_propagation(SimTime::zero() - 1_ms),
                std::invalid_argument);
+}
+
+TEST_F(FaultLinkTest, ShrinkingExtraPropagationLetsLaterPacketsOvertake) {
+  // Packet 0 launches at 8 ms with 20 ms of extra delay (arrives 33 ms).
+  // The surge ends at 12 ms, so packets 1 and 2 (launched at 16 and 24 ms)
+  // overtake it on the wire. Packet 3 (500 bytes, launched at 28 ms) lands
+  // at exactly 33 ms and must follow packet 0, which launched first.
+  link_.fault_set_extra_propagation(20_ms);
+  link_.receive(make_packet(0));
+  link_.receive(make_packet(1));
+  link_.receive(make_packet(2));
+  link_.receive(make_packet(3, 500));
+  sim_.at(12_ms, [this] { link_.fault_set_extra_propagation(SimTime::zero()); });
+  sim_.run();
+  ASSERT_EQ(sink_.arrivals_.size(), 4u);
+  const std::vector<std::pair<std::int64_t, SimTime>> expected{
+      {1, 21_ms}, {2, 29_ms}, {0, 33_ms}, {3, 33_ms}};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sink_.arrivals_[i].packet.seq, expected[i].first) << "arrival " << i;
+    EXPECT_EQ(sink_.arrivals_[i].time, expected[i].second) << "arrival " << i;
+  }
+  EXPECT_EQ(link_.fault_stats().total(), 0u);
+}
+
+TEST_F(FaultLinkTest, DownUpStrandsOnlyTheOldEpochAtItsArrivalTimes) {
+  // With 20 ms extra delay, old packets 0 and 1 launch at 8 and 16 ms
+  // (arriving 33 and 41 ms). The link goes down at 17 ms, killing packet 2
+  // in service and flushing packet 3, and comes back at 18 ms with the
+  // extra delay gone. New packets 10 and 11 launch at 26 and 34 ms and
+  // arrive at 31 and 39 ms, interleaved with the stranded old ones.
+  link_.fault_set_extra_propagation(20_ms);
+  for (int i = 0; i < 4; ++i) link_.receive(make_packet(i));
+  sim_.at(17_ms, [this] { link_.fault_down(); });
+  sim_.at(18_ms, [this] {
+    link_.fault_up();
+    link_.fault_set_extra_propagation(SimTime::zero());
+    link_.receive(make_packet(10));
+    link_.receive(make_packet(11));
+  });
+  // In-flight drops seen just before and just after each old arrival.
+  std::vector<std::uint64_t> inflight;
+  for (const SimTime t : {32_ms, 34_ms, 40_ms, 42_ms}) {
+    sim_.at(t, [this, &inflight] { inflight.push_back(link_.fault_stats().inflight_drops); });
+  }
+  sim_.run();
+  ASSERT_EQ(sink_.arrivals_.size(), 2u);
+  EXPECT_EQ(sink_.arrivals_[0].packet.seq, 10);
+  EXPECT_EQ(sink_.arrivals_[0].time, 31_ms);
+  EXPECT_EQ(sink_.arrivals_[1].packet.seq, 11);
+  EXPECT_EQ(sink_.arrivals_[1].time, 39_ms);
+  // Packet 2 counts at the down edge; packets 0 and 1 when they reach the
+  // far end, not when the cable was cut.
+  EXPECT_EQ(inflight, (std::vector<std::uint64_t>{1, 2, 2, 3}));
+  EXPECT_EQ(link_.fault_stats().inflight_drops, 3u);
+  EXPECT_EQ(link_.fault_stats().flushed_packets, 1u);
 }
 
 TEST_F(FaultLinkTest, CertainLossDropsEveryOfferedPacket) {

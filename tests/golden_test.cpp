@@ -108,8 +108,10 @@ TEST(Golden, NoFaultLongFlowRunIsBitwiseIdenticalToPreFaultBaseline) {
   // (Re-pinned when histograms gained p50/p90/p99 in their snapshot and the
   // sampler gained convergence tracking; the headline numbers above did not
   // move — flow-stats-off runs stay byte-identical on every pre-existing
-  // field.)
-  EXPECT_EQ(fnv1a(r.telemetry.snapshot.to_json()), 4802808256603441306ull);
+  // field. Re-pinned again when packets on wires became lane items: the
+  // only snapshot field that moved is engine.pool_slots, 1536 -> 512, since
+  // in-flight packets no longer take event slots.)
+  EXPECT_EQ(fnv1a(r.telemetry.snapshot.to_json()), 7933152884006810985ull);
   EXPECT_EQ(fnv1a(r.telemetry.series.to_csv()), 7373469491668119683ull);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "net/drop_tail_queue.hpp"
@@ -139,6 +141,38 @@ TEST(LinkTimingTest, HighRateSmallPacketTiming) {
   sim.run();
   ASSERT_EQ(sink.arrivals_.size(), 1u);
   EXPECT_EQ(sink.arrivals_[0].time, sim::SimTime::nanoseconds(8));
+}
+
+/// Builds a link with `rate_bps` and `propagation`; the constructor is what
+/// the LinkConfigTest cases exercise.
+void make_link(double rate_bps, sim::SimTime propagation) {
+  sim::Simulation sim{1};
+  RecordingSink sink{sim};
+  const Link link{sim, "bad", Link::Config{core::BitsPerSec{rate_bps}, propagation},
+                  std::make_unique<DropTailQueue>(1), sink};
+}
+
+TEST(LinkConfigTest, RejectsZeroRate) {
+  EXPECT_THROW(make_link(0.0, 5_ms), std::invalid_argument);
+}
+
+TEST(LinkConfigTest, RejectsNegativeRate) {
+  EXPECT_THROW(make_link(-5e6, 5_ms), std::invalid_argument);
+}
+
+TEST(LinkConfigTest, RejectsNonFiniteRate) {
+  EXPECT_THROW(make_link(std::numeric_limits<double>::quiet_NaN(), 5_ms),
+               std::invalid_argument);
+  EXPECT_THROW(make_link(std::numeric_limits<double>::infinity(), 5_ms),
+               std::invalid_argument);
+}
+
+TEST(LinkConfigTest, RejectsNegativePropagation) {
+  EXPECT_THROW(make_link(1e6, sim::SimTime::zero() - 1_ms), std::invalid_argument);
+}
+
+TEST(LinkConfigTest, AcceptsZeroPropagation) {
+  EXPECT_NO_THROW(make_link(1e6, sim::SimTime::zero()));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -302,29 +303,44 @@ TEST(Scheduler, OversizedCaptureFallbackWorks) {
   EXPECT_EQ(seen, 42u);
 }
 
-TEST(Scheduler, OversizedCaptureChurnReusesBigSlots) {
-  // Callbacks whose captures exceed the inline slot budget borrow big slots
-  // from the pool; steady-state churn must recycle them instead of growing
-  // the big slabs (the pre-pool behavior was a heap allocation per event).
-  Scheduler sched;
-  struct Fat {
+TEST(Scheduler, LaneChurnReusesNodeSlabs) {
+  // Packets on wires are lane nodes from one shared slab pool (they once
+  // borrowed a 128-byte big slot each); 10^5 packets of steady churn across
+  // 64 wires must recycle nodes instead of growing the slabs.
+  struct Wire {
     Scheduler* sched;
-    std::uint64_t payload[9];  // 80 bytes of capture: inline budget is 40
-    void operator()() const {
-      if (payload[0] < 100'000) {
-        Fat next = *this;
-        ++next.payload[0];
-        sched->schedule_after(SimTime::microseconds(3), next);
-      }
-    }
+    Scheduler::LaneId lane;
+    std::uint64_t delivered;
   };
-  for (int i = 0; i < 64; ++i) {
-    sched.schedule_after(SimTime::microseconds(i), Fat{&sched, {0}});
+  Scheduler sched;
+  std::vector<Wire> wires(64);
+  for (Wire& w : wires) {
+    w.sched = &sched;
+    w.lane = sched.add_lane(
+        &w,
+        [](void* owner, const void* payload) {
+          Wire& wire = *static_cast<Wire*>(owner);
+          std::uint64_t hops = 0;
+          std::memcpy(&hops, payload, sizeof hops);
+          ++wire.delivered;
+          if (hops < 400) {
+            wire.sched->lane_push(wire.lane, wire.sched->now() + SimTime::microseconds(3),
+                                  hops + 1);
+          }
+        },
+        EventClass::kLinkPropagation);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      sched.lane_push(w.lane, SimTime::microseconds(static_cast<std::int64_t>(i)),
+                      std::uint64_t{0});
+    }
   }
+  EXPECT_EQ(sched.pending_events(), 256u);
   sched.run();
   EXPECT_GT(sched.executed_events(), 100'000u);
-  EXPECT_LE(sched.pool_big_capacity(), 512u)
-      << "big-slot slabs grew under steady churn: recycling is broken";
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_LE(sched.lane_node_capacity(), 512u)
+      << "lane node slabs grew under steady churn: recycling is broken";
+  EXPECT_EQ(sched.pool_capacity(), 0u) << "lane items must not take event slots";
 }
 
 TEST(Scheduler, ManyEventsStressOrdering) {
