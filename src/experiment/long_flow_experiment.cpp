@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "fault/fault_injector.hpp"
 #include "sim/simulation.hpp"
@@ -14,7 +16,12 @@
 namespace rbs::experiment {
 
 LongFlowExperimentResult run_long_flow_experiment(const LongFlowExperimentConfig& config) {
-  assert(config.num_flows >= 1);
+  // Checked in every build type: zero flows would report NaN predictions
+  // and a fairness index over nothing.
+  if (config.num_flows < 1) {
+    throw std::invalid_argument("long-flow experiment: num_flows must be >= 1, got " +
+                                std::to_string(config.num_flows));
+  }
   // The schedule horizon is bounded by the run length: nothing is ever
   // scheduled past warmup + measure, so backend=auto can resolve from it.
   sim::Simulation sim{config.seed, config.scheduler_backend,

@@ -1,10 +1,10 @@
 #include "net/dumbbell.hpp"
 
-#include <cassert>
-
-#include "net/drr_queue.hpp"
+#include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "net/drr_queue.hpp"
 
 namespace rbs::net {
 
@@ -14,11 +14,19 @@ constexpr std::int32_t kReferencePacketBytes = 1000;
 
 Dumbbell::Dumbbell(sim::Simulation& sim, DumbbellConfig config)
     : sim_{sim}, config_{std::move(config)} {
-  assert(config_.num_leaves >= 1);
+  // Checked in every build type: with no leaves mean_rtt() divides by zero.
+  if (config_.num_leaves < 1) {
+    throw std::invalid_argument("Dumbbell: num_leaves must be >= 1, got " +
+                                std::to_string(config_.num_leaves));
+  }
 
   // Per-leaf sender-side access delays.
   if (!config_.access_delays.empty()) {
-    assert(static_cast<int>(config_.access_delays.size()) == config_.num_leaves);
+    if (config_.access_delays.size() != static_cast<std::size_t>(config_.num_leaves)) {
+      throw std::invalid_argument("Dumbbell: " + std::to_string(config_.access_delays.size()) +
+                                  " access delays for " + std::to_string(config_.num_leaves) +
+                                  " leaves");
+    }
     leaf_delays_ = config_.access_delays;
   } else {
     leaf_delays_.reserve(static_cast<std::size_t>(config_.num_leaves));

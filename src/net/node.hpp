@@ -3,7 +3,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
@@ -48,7 +49,8 @@ class Host final : public Node {
   /// before any agent sends.
   void attach_uplink(PacketSink& uplink) noexcept { uplink_ = &uplink; }
 
-  /// Registers `agent` to receive packets of `flow`. One agent per flow.
+  /// Registers `agent` to receive packets of `flow`. One agent per flow:
+  /// a second registration for the same flow throws std::invalid_argument.
   void register_agent(FlowId flow, Agent& agent);
 
   /// Removes the registration; packets for `flow` are then counted as
@@ -66,8 +68,9 @@ class Host final : public Node {
 
  private:
   PacketSink* uplink_{nullptr};
-  // rbs-lint: allow(unordered-container) -- emplace/find/erase only (node.cpp); never iterated
-  std::unordered_map<FlowId, Agent*> agents_;
+  // Sorted by flow id. A host runs a handful of agents (one per flow it
+  // terminates), so a binary search over a flat array beats hashing.
+  std::vector<std::pair<FlowId, Agent*>> agents_;
   std::uint64_t unclaimed_{0};
 };
 
@@ -78,7 +81,8 @@ class Router final : public Node {
  public:
   using Node::Node;
 
-  /// Routes packets destined to `dst` via `next_hop`.
+  /// Routes packets destined to `dst` via `next_hop`, replacing any earlier
+  /// route to `dst`. Throws std::invalid_argument for kInvalidNode.
   void add_route(NodeId dst, PacketSink& next_hop);
 
   /// Fallback next hop for destinations with no explicit route.
@@ -90,8 +94,9 @@ class Router final : public Node {
   [[nodiscard]] std::uint64_t unroutable_packets() const noexcept { return unroutable_; }
 
  private:
-  // rbs-lint: allow(unordered-container) -- keyed insert/find only (node.cpp); never iterated
-  std::unordered_map<NodeId, PacketSink*> routes_;
+  // Next hop per destination, indexed by NodeId (topologies number their
+  // nodes densely from 0); nullptr where no route was added.
+  std::vector<PacketSink*> routes_;
   PacketSink* default_route_{nullptr};
   std::uint64_t unroutable_{0};
 };

@@ -55,7 +55,10 @@ void TokenBucketShaper::drain() {
   refill();
   while (!queue_.empty() &&
          tokens_ >= static_cast<double>(queue_.front().size_bytes)) {
-    forward(queue_.front());
+    // Forward a copy: the downstream may reach back into receive(), and a
+    // push that grows the ring would move the front packet.
+    const Packet p = queue_.front();
+    forward(p);
     queue_.pop_front();
   }
   if (!queue_.empty()) {

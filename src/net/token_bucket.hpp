@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "core/units.hpp"
 #include "net/packet.hpp"
+#include "net/packet_ring.hpp"
 #include "sim/simulation.hpp"
 
 namespace rbs::net {
@@ -50,7 +50,7 @@ class TokenBucketShaper final : public PacketSink {
 
   double tokens_;  ///< bytes of credit
   sim::SimTime last_refill_{};
-  std::deque<Packet> queue_;
+  PacketRing queue_;
   sim::Scheduler::EventHandle drain_event_;
   std::uint64_t forwarded_{0};
   std::uint64_t dropped_{0};

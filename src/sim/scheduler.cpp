@@ -147,7 +147,10 @@ void Scheduler::refill_due() {
   const std::int64_t start = wheel_.drain_earliest_bucket(scratch_);
   due_limit_ = SimTime::picoseconds(start + TimingWheel::kBucketWidthPs);
   for (const ReadyEntry& entry : scratch_) {
-    if (entry_live(entry)) {
+    if (is_lane_entry(entry)) {
+      prefetch_lane(entry);
+      due_.push(entry);
+    } else if (pool_[entry.slot].armed()) {
       due_.push(entry);
     } else {
       --cancelled_in_queue_;
@@ -191,26 +194,52 @@ void Scheduler::run_body(EventClass cls, Body&& body) {
   }
 }
 
+// A drained bucket fires within the next bucket width of simulated time, so
+// its lane heads and their owners are about to be touched: start the loads
+// now, while the due heap still has other events to fire. The heap backend
+// never drains buckets and gets no prefetch.
+void Scheduler::prefetch_lane(const ReadyEntry& entry) const noexcept {
+  const Lane& lane = lanes_[entry.slot & ~kLaneBit];
+  if (lane.head != kNoNode) prefetch_node(lane.head);
+  __builtin_prefetch(lane.owner);
+}
+
+void Scheduler::prefetch_node(std::uint32_t idx) const noexcept {
+  const auto* bytes = reinterpret_cast<const char*>(&lane_nodes_[idx]);
+  __builtin_prefetch(bytes);
+  __builtin_prefetch(bytes + sizeof(LaneNode) - 1);
+}
+
 // Pops the lane's head (the node this entry was armed for: no other node of
-// the lane can sort before it), arms the next head unless it already holds
-// an entry, then delivers. The node is recycled only after the owner
-// returns, so the payload stays valid while the owner pushes more items.
+// the lane can sort before it), starts loading the next node and delivers.
+// Only then is the lane's head armed, unless it already holds an entry, so
+// the next node's cache lines arrive while the owner runs. Every (time, seq)
+// was reserved at push, so arming late changes no order; an item the owner
+// pushes ahead of the unarmed next node is the ordinary overtake, and the
+// node it displaces is armed when it is head again. The popped node is
+// recycled only after the owner returns, so the payload stays valid while
+// the owner pushes more items.
 void Scheduler::fire_lane_head(const ReadyEntry& entry) {
-  Lane& lane = lanes_[entry.slot & ~kLaneBit];
+  const LaneId id = entry.slot & ~kLaneBit;
+  Lane& lane = lanes_[id];
   const std::uint32_t idx = lane.head;
   const LaneNode& node = lane_nodes_[idx];
   RBS_INVARIANT(node.seq == entry.seq, "lane entry fired for a node that is not the head");
   lane.head = node.next;
   if (lane.head == kNoNode) {
     lane.tail = kNoNode;
-  } else if (LaneNode& next = lane_nodes_[lane.head]; !next.queued) {
-    arm_lane_node(lane, entry.slot & ~kLaneBit, next);
+  } else {
+    prefetch_node(lane.head);
   }
   // The owner may register lanes (reallocating lanes_), so copy out first.
   void* const owner = lane.owner;
   const LaneDeliver deliver = lane.deliver;
   run_body(entry.cls, [&] { deliver(owner, node.payload); });
   lane_nodes_.release(idx);
+  const Lane& after = lanes_[id];
+  if (after.head != kNoNode && !lane_nodes_[after.head].queued) {
+    arm_lane_node(after, id, lane_nodes_[after.head]);
+  }
 }
 
 void Scheduler::execute_prepared() {

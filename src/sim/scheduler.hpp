@@ -291,10 +291,12 @@ class Scheduler {
 
   /// One item on a lane. `next` links the lane (or, while free, the pool's
   /// free list). `queued` is set once a ready entry carrying this node's
-  /// (time, seq) has been pushed: a node pushed ahead of an armed head
-  /// gets its own entry, and the displaced head keeps its entry, which
-  /// cannot pop before that node is the head again.
-  struct LaneNode {
+  /// (time, seq) has been pushed: a node pushed ahead of the head gets its
+  /// own entry, and the displaced head keeps its entry if it has one (it
+  /// cannot pop before that node is the head again) or is armed once it is
+  /// the head again. Aligned to 32 bytes so that every node spans exactly
+  /// two cache lines.
+  struct alignas(32) LaneNode {
     SimTime time;
     std::uint64_t seq{0};
     std::uint32_t next{kNoNode};
@@ -328,6 +330,8 @@ class Scheduler {
   void arm_lane_node(const Lane& lane, LaneId id, LaneNode& node);
   void lane_insert(Lane& lane, LaneId id, std::uint32_t idx);
   void fire_lane_head(const ReadyEntry& entry);
+  void prefetch_lane(const ReadyEntry& entry) const noexcept;
+  void prefetch_node(std::uint32_t idx) const noexcept;
   template <typename Body>
   void run_body(EventClass cls, Body&& body);
 

@@ -1,5 +1,7 @@
 #include "tcp/tcp_sink.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <string>
 
 namespace rbs::tcp {
@@ -54,11 +56,16 @@ void TcpSink::on_packet(const net::Packet& p) {
     auto it = out_of_order_.begin();
     while (it != out_of_order_.end() && *it == next_expected_) {
       ++next_expected_;
-      it = out_of_order_.erase(it);
+      ++it;
     }
+    out_of_order_.erase(out_of_order_.begin(), it);
   } else if (p.seq > next_expected_) {
-    const bool fresh = out_of_order_.insert(p.seq).second;
-    if (!fresh) ++duplicates_;
+    const auto it = std::lower_bound(out_of_order_.begin(), out_of_order_.end(), p.seq);
+    if (it != out_of_order_.end() && *it == p.seq) {
+      ++duplicates_;
+    } else {
+      out_of_order_.insert(it, p.seq);
+    }
   } else {
     ++duplicates_;  // already delivered; spurious retransmission
   }
@@ -98,9 +105,13 @@ void TcpSink::audit(check::AuditReport& report) const {
                      std::to_string(duplicates_) + " != received " +
                      std::to_string(packets_received_));
   }
-  if (!out_of_order_.empty() && *out_of_order_.begin() <= next_expected_) {
+  if (std::adjacent_find(out_of_order_.begin(), out_of_order_.end(),
+                         std::greater_equal<>{}) != out_of_order_.end()) {
+    report.violation("out-of-order buffer is not strictly ascending");
+  }
+  if (!out_of_order_.empty() && out_of_order_.front() <= next_expected_) {
     report.violation("out-of-order buffer holds sequence " +
-                     std::to_string(*out_of_order_.begin()) +
+                     std::to_string(out_of_order_.front()) +
                      " at or below the cumulative-ACK point " +
                      std::to_string(next_expected_));
   }

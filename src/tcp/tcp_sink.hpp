@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <vector>
 
 #include "core/units.hpp"
 #include "net/node.hpp"
@@ -67,7 +67,10 @@ class TcpSink final : public net::Agent {
   TcpSinkConfig config_;
 
   std::int64_t next_expected_{0};
-  std::set<std::int64_t> out_of_order_;
+  // Sequences received above the cumulative-ACK point, sorted ascending
+  // and unique. Loss leaves a few holes per window, so a flat array with
+  // binary-search insert beats a node per sequence.
+  std::vector<std::int64_t> out_of_order_;
   std::uint64_t packets_received_{0};
   std::uint64_t duplicates_{0};
   std::uint64_t acks_sent_{0};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "net/red_queue.hpp"
 #include "sim/simulation.hpp"
 
@@ -176,6 +178,28 @@ TEST(Dumbbell, DistinctSeedsGiveDistinctDelaySpreads) {
     if (a.rtt(i) != b.rtt(i)) any_different = true;
   }
   EXPECT_TRUE(any_different);
+}
+
+TEST(Dumbbell, RejectsZeroLeaves) {
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 0;
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  cfg.num_leaves = -1;
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+}
+
+TEST(Dumbbell, RejectsAccessDelaysOfTheWrongLength) {
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 3;
+  cfg.access_delays = {5_ms, 6_ms};
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  cfg.access_delays = {5_ms, 6_ms, 7_ms, 8_ms};
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  cfg.access_delays = {5_ms, 6_ms, 7_ms};
+  const Dumbbell topo{sim, cfg};
+  EXPECT_EQ(topo.num_leaves(), 3);
 }
 
 }  // namespace

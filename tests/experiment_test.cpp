@@ -2,6 +2,8 @@
 // the buffer-search helpers. Scaled-down links keep each run fast.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/mixed_flow_experiment.hpp"
 #include "experiment/short_flow_experiment.hpp"
@@ -19,6 +21,11 @@ LongFlowExperimentConfig fast_long(int flows, std::int64_t buffer) {
   cfg.warmup = SimTime::seconds(5);
   cfg.measure = SimTime::seconds(10);
   return cfg;
+}
+
+TEST(LongFlowExperiment, RejectsZeroFlows) {
+  EXPECT_THROW(run_long_flow_experiment(fast_long(0, 20)), std::invalid_argument);
+  EXPECT_THROW(run_long_flow_experiment(fast_long(-3, 20)), std::invalid_argument);
 }
 
 TEST(LongFlowExperiment, DeterministicForSameSeed) {
@@ -186,6 +193,16 @@ TEST(MixedFlowExperiment, ParetoSizingRuns) {
   const auto r = run_mixed_flow_experiment(cfg);
   EXPECT_GT(r.short_flows_completed, 10u);
   EXPECT_GT(r.utilization, 0.85);
+}
+
+TEST(MixedFlowExperiment, NoLongFlowsStaysLegal) {
+  auto cfg = fast_mixed();
+  cfg.num_long_flows = 0;
+  cfg.warmup = SimTime::seconds(1);
+  cfg.measure = SimTime::seconds(4);
+  const auto r = run_mixed_flow_experiment(cfg);
+  EXPECT_GT(r.short_flows_completed, 10u);
+  EXPECT_EQ(r.long_flow_throughput_bps, 0.0);
 }
 
 TEST(MixedFlowExperiment, Deterministic) {

@@ -181,5 +181,92 @@ TEST(Lanes, AuditReportsAnUnsortedLane) {
       << report.messages().front();
 }
 
+/// A lane whose owner pushes onto its own lane while an item is being
+/// delivered: the popped item's successor is not armed yet at that point,
+/// so an item pushed ahead of it overtakes an unarmed node. With
+/// `as_events`, every item is a schedule_at event instead (the reference).
+class SelfFeedingLane {
+ public:
+  SelfFeedingLane(SchedulerBackend backend, bool as_events)
+      : sched_{backend}, as_events_{as_events} {
+    lane_ = sched_.add_lane(this, &SelfFeedingLane::deliver, EventClass::kLinkPropagation);
+    sched_.set_audit_hook(1, [this] {
+      check::AuditReport report;
+      sched_.audit(report);
+      if (!report.clean() && audit_failure_.empty()) audit_failure_ = report.messages().front();
+    });
+    push(1, 10_us);
+    push(2, 20_us);
+    push(3, 20_us);
+    sched_.schedule_at(20_us, [this] { record(100); });
+  }
+
+  std::vector<Firing> run() {
+    sched_.run();
+    return fired_;
+  }
+  [[nodiscard]] const std::string& audit_failure() const { return audit_failure_; }
+
+ private:
+  static void deliver(void* self, const void* payload) {
+    std::uint64_t id = 0;
+    std::memcpy(&id, payload, sizeof id);
+    static_cast<SelfFeedingLane*>(self)->fire(id);
+  }
+
+  void fire(std::uint64_t id) {
+    record(id);
+    switch (id) {
+      case 1:          // at 10 us; items 2 and 3 wait at 20 us, unarmed
+        push(4, 15_us);  // overtakes the unarmed item 2
+        push(5, 20_us);  // ties with 2 and 3 and the plain event: fires last of them
+        push(6, 40_us);  // appends
+        break;
+      case 4:          // at 15 us
+        push(7, 15_us);  // due now, still ahead of item 2
+        push(8, 12_us);  // in the past: clamped to now, after item 7
+        break;
+      case 2:          // at 20 us
+        push(9, 20_us);  // due now, after every earlier-pushed 20 us item
+        break;
+      default:
+        break;
+    }
+  }
+
+  void record(std::uint64_t id) {
+    fired_.push_back(Firing{id, sched_.now().ps(), sched_.pending_events()});
+  }
+
+  void push(std::uint64_t id, SimTime t) {
+    if (as_events_) {
+      sched_.schedule_at(t, [this, id] { fire(id); }, EventClass::kLinkPropagation);
+    } else {
+      sched_.lane_push(lane_, t, id);
+    }
+  }
+
+  Scheduler sched_;
+  bool as_events_;
+  Scheduler::LaneId lane_{0};
+  std::vector<Firing> fired_;
+  std::string audit_failure_;
+};
+
+TEST(Lanes, OwnerPushesDuringDeliveryIncludingAnOvertakeOfTheUnarmedNext) {
+  for (const auto backend : {SchedulerBackend::kHeap, SchedulerBackend::kWheel}) {
+    const std::string where = std::string{"backend "} + scheduler_backend_name(backend);
+    SelfFeedingLane reference{backend, /*as_events=*/true};
+    SelfFeedingLane lanes{backend, /*as_events=*/false};
+    const auto want = reference.run();
+    const auto got = lanes.run();
+    std::vector<std::uint64_t> order;
+    for (const Firing& f : want) order.push_back(f.id);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 4, 7, 8, 2, 3, 100, 5, 9, 6})) << where;
+    EXPECT_EQ(got, want) << where;
+    EXPECT_TRUE(lanes.audit_failure().empty()) << where << ": " << lanes.audit_failure();
+  }
+}
+
 }  // namespace
 }  // namespace rbs::sim

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
 #include <vector>
 
+#include "check/auditor.hpp"
 #include "net/node.hpp"
+#include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
 namespace rbs::tcp {
@@ -119,6 +124,71 @@ TEST_F(TcpSinkTest, LargeReorderingWindow) {
   host_.receive(data(0));
   EXPECT_EQ(sink_.next_expected(), 100);
   EXPECT_EQ(capture_.acks.back().ack, 100);
+}
+
+/// The sink's cumulative-ACK logic over a std::set reorder buffer, as it
+/// was before the buffer became a sorted vector.
+struct ReferenceSink {
+  std::int64_t next_expected{0};
+  std::set<std::int64_t> out_of_order;
+  std::uint64_t duplicates{0};
+
+  void on_data(std::int64_t seq) {
+    if (seq == next_expected) {
+      ++next_expected;
+      auto it = out_of_order.begin();
+      while (it != out_of_order.end() && *it == next_expected) {
+        ++next_expected;
+        it = out_of_order.erase(it);
+      }
+    } else if (seq > next_expected) {
+      if (!out_of_order.insert(seq).second) ++duplicates;
+    } else {
+      ++duplicates;
+    }
+  }
+};
+
+TEST_F(TcpSinkTest, ReorderBufferMatchesSetReference) {
+  ReferenceSink ref;
+  sim::Rng rng{77};
+  std::int64_t highest = -1;
+  std::uint64_t buffered_duplicates = 0;
+  for (int i = 0; i < 50'000; ++i) {
+    // Mostly new data with random losses (holes), plus retransmissions that
+    // fill holes, duplicate a buffered sequence, or repeat delivered data.
+    std::int64_t seq = 0;
+    const double r = rng.uniform();
+    if (r < 0.55) {
+      seq = highest + 1 + (rng.bernoulli(0.1) ? rng.uniform_int(1, 3) : 0);
+    } else if (r < 0.8) {
+      seq = ref.next_expected;
+    } else if (r < 0.95) {
+      seq = ref.next_expected + rng.uniform_int(0, std::max<std::int64_t>(
+                                                       0, highest - ref.next_expected));
+    } else {
+      seq = std::max<std::int64_t>(0, ref.next_expected - rng.uniform_int(1, 5));
+    }
+    highest = std::max(highest, seq);
+    if (ref.out_of_order.count(seq) != 0) ++buffered_duplicates;
+    ref.on_data(seq);
+    host_.receive(data(seq));
+    ASSERT_EQ(capture_.acks.size(), static_cast<std::size_t>(i) + 1);
+    ASSERT_EQ(capture_.acks.back().ack, ref.next_expected) << "packet " << i << " seq " << seq;
+    ASSERT_EQ(sink_.duplicate_data_packets(), ref.duplicates) << "packet " << i;
+    if (i % 211 == 0) {
+      check::AuditReport report;
+      sink_.audit(report);
+      ASSERT_TRUE(report.clean()) << report.messages().front();
+    }
+  }
+  EXPECT_EQ(sink_.next_expected(), ref.next_expected);
+  EXPECT_GT(ref.duplicates, 1000u);  // the script exercised duplicates,
+  EXPECT_GT(buffered_duplicates, 100u);  // including ones inside the buffer
+  EXPECT_GT(ref.next_expected, 10'000);
+  check::AuditReport report;
+  sink_.audit(report);
+  EXPECT_TRUE(report.clean());
 }
 
 }  // namespace
