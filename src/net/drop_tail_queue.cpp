@@ -68,7 +68,7 @@ void DropTailQueue::set_limit_bytes(core::Bytes limit_bytes) {
 void DropTailQueue::audit(check::AuditReport& report) const {
   Queue::audit(report);
   std::int64_t actual_bytes = 0;
-  for (const Packet& p : fifo_) actual_bytes += p.size_bytes;
+  for (std::size_t i = 0; i < fifo_.size(); ++i) actual_bytes += fifo_[i].size_bytes;
   if (actual_bytes != bytes_) {
     report.violation("cached byte counter " + std::to_string(bytes_) +
                      " != FIFO contents " + std::to_string(actual_bytes) + " bytes");

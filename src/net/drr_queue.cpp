@@ -138,7 +138,7 @@ void DrrQueue::audit(check::AuditReport& report) const {
   for (const FlowId flow : ids) {
     const FlowState& state = flows_.at(flow);
     actual_packets += static_cast<std::int64_t>(state.fifo.size());
-    for (const Packet& p : state.fifo) actual_bytes += p.size_bytes;
+    for (std::size_t i = 0; i < state.fifo.size(); ++i) actual_bytes += state.fifo[i].size_bytes;
     if (state.fifo.empty()) {
       report.violation("flow " + std::to_string(flow) + " registered with an empty FIFO");
     }

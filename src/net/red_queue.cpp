@@ -136,7 +136,8 @@ void RedQueue::audit(check::AuditReport& report) const {
   Queue::audit(report);
   std::int64_t actual_bytes = 0;
   std::uint64_t ce_in_queue = 0;
-  for (const Packet& p : fifo_) {
+  for (std::size_t i = 0; i < fifo_.size(); ++i) {
+    const Packet& p = fifo_[i];
     actual_bytes += p.size_bytes;
     if (p.ecn_ce) ++ce_in_queue;
   }
