@@ -75,15 +75,18 @@
 //                         exception, dump recent trace events, a metrics
 //                         snapshot, and live queue/scheduler state as
 //                         deterministic JSON to PATH (single-point runs)
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include "core/recommendation.hpp"
 #include "core/sizing_rules.hpp"
@@ -103,6 +106,11 @@
 namespace {
 
 using KeyValues = std::map<std::string, std::string>;
+
+/// Longest duration key accepted: half of what the simulator's int64
+/// picosecond clock holds (~53 days), so that warmup + duration fits too.
+constexpr double kMaxSeconds =
+    static_cast<double>(std::numeric_limits<std::int64_t>::max()) / 1e12 / 2;
 
 void parse_pair(const std::string& token, KeyValues& out) {
   const auto eq = token.find('=');
@@ -127,9 +135,37 @@ bool load_config_file(const std::string& path, KeyValues& out) {
   return true;
 }
 
-double get_num(const KeyValues& kv, const std::string& key, double fallback) {
+/// A value that is not a number of the kind its key needs. main() reports
+/// it as "rbsim: bad value for KEY '...'" and exits 2.
+struct BadValue {
+  std::string key;
+  std::string text;
+};
+
+/// The number `key` holds, or `fallback` when it is absent. The whole value
+/// must parse as a T in [lo, hi]; for floating point the default bounds also
+/// reject NaN and the infinities.
+template <typename T>
+T get_num(const KeyValues& kv, const std::string& key, T fallback,
+          T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
   const auto it = kv.find(key);
-  return it == kv.end() ? fallback : std::atof(it->second.c_str());
+  if (it == kv.end()) return fallback;
+  const std::string& text = it->second;
+  T v{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || !(v >= lo && v <= hi)) {
+    throw BadValue{key, text};
+  }
+  return v;
+}
+
+/// A duration in seconds: non-negative (positive when `positive`) and at
+/// most kMaxSeconds.
+double get_seconds(const KeyValues& kv, const std::string& key, double fallback,
+                   bool positive = false) {
+  const double v = get_num(kv, key, fallback, 0.0, kMaxSeconds);
+  if (positive && v <= 0) throw BadValue{key, kv.at(key)};
+  return v;
 }
 
 std::string get_str(const KeyValues& kv, const std::string& key, const std::string& fallback) {
@@ -144,6 +180,9 @@ int run_rbsim(int argc, char** argv);
 int main(int argc, char** argv) {
   try {
     return run_rbsim(argc, argv);
+  } catch (const BadValue& bad) {
+    std::fprintf(stderr, "rbsim: bad value for %s '%s'\n", bad.key.c_str(), bad.text.c_str());
+    return 2;
   } catch (const std::exception& e) {
     // Invariant-auditor reports (and any other fatal error) land here.
     std::fprintf(stderr, "rbsim: fatal: %s\n", e.what());
@@ -211,10 +250,10 @@ int run_rbsim(int argc, char** argv) {
 
   const std::string mode = get_str(kv, "mode", "long");
   const double rate_bps = get_num(kv, "rate_mbps", 155.0) * 1e6;
-  const int flows = static_cast<int>(get_num(kv, "flows", 100));
-  const double duration = get_num(kv, "duration", 20.0);
-  const double warmup = get_num(kv, "warmup", 10.0);
-  const auto seed = static_cast<std::uint64_t>(get_num(kv, "seed", 1));
+  const int flows = get_num(kv, "flows", 100, 0);
+  const double duration = get_seconds(kv, "duration", 20.0);
+  const double warmup = get_seconds(kv, "warmup", 10.0);
+  const auto seed = get_num<std::uint64_t>(kv, "seed", 1);
   const double rtt_sec = 0.080;  // topology default
 
   const auto sqrt_rule = core::sqrt_rule_packets(rtt_sec, rate_bps, std::max(flows, 1), 1000);
@@ -246,7 +285,7 @@ int run_rbsim(int argc, char** argv) {
     if (buffers.empty()) buffers.push_back(sqrt_rule);
   }
   const std::int64_t buffer = buffers.front();
-  const int threads = static_cast<int>(get_num(kv, "threads", 0));
+  const int threads = get_num(kv, "threads", 0, 0, experiment::kMaxSweepThreads);
 
   // Scheduler ready-queue backend. Both fire bitwise-identically; the wheel
   // is the fast default and the heap the reference structure.
@@ -295,7 +334,8 @@ int run_rbsim(int argc, char** argv) {
   const bool profile = get_num(kv, "profile", 0) > 0;
   experiment::TelemetryConfig tele_cfg;
   tele_cfg.metrics = !metrics_path.empty();
-  tele_cfg.sample_interval = sim::SimTime::from_seconds(get_num(kv, "sample_interval", 0.1));
+  tele_cfg.sample_interval =
+      sim::SimTime::from_seconds(get_seconds(kv, "sample_interval", 0.1, /*positive=*/true));
   tele_cfg.profile = profile;
   tele_cfg.flow_stats = get_num(kv, "flow_stats", 0) > 0;
   // The flight recorder writes one post-mortem file, so a sweep's concurrent
@@ -480,7 +520,7 @@ int run_rbsim(int argc, char** argv) {
       experiment::ShortFlowExperimentConfig cfg;
       cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
       cfg.load = get_num(kv, "short_load", 0.8);
-      cfg.flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
+      cfg.flow_packets = get_num<std::int64_t>(kv, "flow_len", 62, 1);
       cfg.warmup = sim::SimTime::from_seconds(warmup);
       cfg.measure = sim::SimTime::from_seconds(duration);
       cfg.seed = seed;
@@ -518,7 +558,7 @@ int run_rbsim(int argc, char** argv) {
       cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
       cfg.num_long_flows = flows;
       cfg.short_flow_load = get_num(kv, "short_load", 0.2);
-      cfg.short_flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
+      cfg.short_flow_packets = get_num<std::int64_t>(kv, "flow_len", 62, 1);
       cfg.warmup = sim::SimTime::from_seconds(warmup);
       cfg.measure = sim::SimTime::from_seconds(duration);
       cfg.seed = seed;
@@ -605,7 +645,7 @@ int run_rbsim(int argc, char** argv) {
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     cfg.buffer_packets = buffer;
     cfg.load = get_num(kv, "short_load", 0.8);
-    cfg.flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
+    cfg.flow_packets = get_num<std::int64_t>(kv, "flow_len", 62, 1);
     cfg.warmup = sim::SimTime::from_seconds(warmup);
     cfg.measure = sim::SimTime::from_seconds(duration);
     cfg.seed = seed;
@@ -639,7 +679,7 @@ int run_rbsim(int argc, char** argv) {
     cfg.num_long_flows = flows;
     cfg.buffer_packets = buffer;
     cfg.short_flow_load = get_num(kv, "short_load", 0.2);
-    cfg.short_flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
+    cfg.short_flow_packets = get_num<std::int64_t>(kv, "flow_len", 62, 1);
     // Flavor only: the mixed experiment owns its queue discipline, so the
     // DCTCP step-marking profile applies in long mode alone.
     if (cca) cfg.tcp.flavor = *cca;

@@ -10,12 +10,15 @@ Two legs, both requiring clang++ (the only compiler implementing
 
   negative  tests/thread_safety/guarded_access_poke.cpp reads ONE guarded
             SweepBatchState field without the mutex (selected with
-            -DRBS_TSA_FIELD=<field>) and must FAIL to compile, once per
-            guarded field. If any poke compiles, an RBS_GUARDED_BY was
-            removed or weakened — the harness (and the CI thread-safety
-            leg) fails, naming the field.
+            -DRBS_TSA_FIELD=<field>) and must FAIL to compile with a
+            -Wthread-safety diagnostic, once per guarded field. The field
+            list is read from the RBS_GUARDED_BY declarations in
+            src/experiment/dispatch_protocol.hpp, so a new field cannot skip
+            its poke. If any poke compiles (or fails for another reason),
+            an RBS_GUARDED_BY was removed or weakened — the harness (and
+            the CI thread-safety leg) fails, naming the field.
 
-This is the machine check behind the claim in sweep_dispatch.hpp: deleting
+This is the machine check behind the claim in dispatch_protocol.hpp: deleting
 any one annotation there turns a data-race hazard back into silently
 accepted code, so the harness turns it into a build failure instead.
 
@@ -25,6 +28,7 @@ Exit 0 all checks pass · 1 a check failed · 2 no usable clang++.
 from __future__ import annotations
 
 import argparse
+import re
 import shutil
 import subprocess
 import sys
@@ -41,17 +45,19 @@ POSITIVE_TUS = (
 
 POKE_TU = "tests/thread_safety/guarded_access_poke.cpp"
 
-# Every RBS_GUARDED_BY field of detail::SweepBatchState. Keep in sync with
-# src/experiment/sweep_dispatch.hpp — a field listed here but no longer
-# guarded there is exactly the regression the negative leg exists to catch.
-GUARDED_FIELDS = (
-    "point",
-    "batch_size",
-    "chunk",
-    "in_flight",
-    "sleeping_helpers",
-    "first_error",
-)
+STATE_HEADER = "src/experiment/dispatch_protocol.hpp"
+
+# `<name> RBS_GUARDED_BY(` — a member declaration's name is the identifier
+# right before its annotation.
+GUARDED_DECL = re.compile(r"\b(\w+)\s+RBS_GUARDED_BY\s*\(")
+
+
+def guarded_fields() -> list[str]:
+    """Every RBS_GUARDED_BY field declared in the dispatch state header."""
+    text = (REPO / STATE_HEADER).read_text()
+    text = re.sub(r"//[^\n]*", "", text)  # comments may mention the macro
+    return GUARDED_DECL.findall(text)
+
 
 BASE_FLAGS = [
     "-std=c++20",
@@ -84,6 +90,9 @@ def main() -> int:
         return 2
 
     failures: list[str] = []
+    fields = guarded_fields()
+    if not fields:
+        failures.append(f"negative: found no RBS_GUARDED_BY field in {STATE_HEADER}")
 
     for rel in POSITIVE_TUS:
         tu = REPO / rel
@@ -95,13 +104,18 @@ def main() -> int:
         else:
             print(f"check_thread_safety: ok (positive) {rel}")
 
-    for field in GUARDED_FIELDS:
+    for field in fields:
         proc = compile_tu(clang, REPO / POKE_TU, [f"-DRBS_TSA_FIELD={field}"])
         if proc.returncode == 0:
             failures.append(
                 f"negative: unguarded read of SweepBatchState::{field} COMPILED — "
-                "its RBS_GUARDED_BY annotation in src/experiment/sweep_dispatch.hpp "
+                f"its RBS_GUARDED_BY annotation in {STATE_HEADER} "
                 "is missing or no longer enforced"
+            )
+        elif "-Wthread-safety" not in proc.stderr:
+            failures.append(
+                f"negative: the poke at SweepBatchState::{field} failed without a "
+                f"-Wthread-safety diagnostic:\n{proc.stderr.strip()}"
             )
         else:
             print(f"check_thread_safety: ok (negative) {POKE_TU} field={field}")
@@ -112,7 +126,7 @@ def main() -> int:
             print(f"  {f}", file=sys.stderr)
         return 1
     print(f"check_thread_safety: {len(POSITIVE_TUS)} positive and "
-          f"{len(GUARDED_FIELDS)} negative checks passed")
+          f"{len(fields)} negative checks passed")
     return 0
 
 

@@ -50,7 +50,7 @@ WALL_CLOCK_IDENTS = {
 SCHEDULER_CALLS = {"schedule_at", "schedule_after", "at", "after"}
 
 # Entry points that run the passed lambda concurrently on sweep workers.
-PARALLEL_CALLS = {"run_indexed", "map", "parallel_sweep", "set_observer"}
+PARALLEL_CALLS = {"run_indexed", "map", "set_observer"}
 
 # Member calls that mutate a standard container.
 CONTAINER_MUTATORS = {
@@ -539,8 +539,7 @@ def _shared_write_targets(body: List[Token]) -> List[Tuple[Token, bool]]:
 
 def _parallel_call_lambdas(tokens: List[Token]):
     """Yields (call_name, capture_open_index) for every lambda argument of a
-    parallel-dispatch call (run_indexed / map / parallel_sweep /
-    set_observer)."""
+    parallel-dispatch call (run_indexed / map / set_observer)."""
     for i, t in enumerate(tokens):
         if t.kind != "ident" or t.text not in PARALLEL_CALLS:
             continue

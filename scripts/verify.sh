@@ -27,7 +27,7 @@
 #  10. model check: rebuild with RBS_MODEL_CHECK=ON (instrumentation is
 #      per-target in tests/mc/ — production libraries are untouched) and
 #      run the interleaving explorer: harness conformance, exhaustive
-#      dispatch-protocol models, mutation kills, the stats ordering pin
+#      dispatch-protocol models, mutation kills, the stats snapshot model
 #  11. thread-safety annotations: clang++ -Wthread-safety positive +
 #      compile-fail harness (scripts/check_thread_safety.py). Needs a
 #      clang++ binary; skipped loudly when none exists (the analysis is
@@ -166,9 +166,7 @@ echo "=== [10/11] model check: interleaving explorer over tests/mc ==="
 # RBS_MODEL_CHECK is applied per-target inside tests/mc/ only; the
 # production libraries in build-mc are compiled exactly as in tier-1.
 cmake -B build-mc -S . -DRBS_MODEL_CHECK=ON >/dev/null
-cmake --build build-mc -j "$JOBS" \
-  --target mc_harness_test dispatch_protocol_mc_test dispatch_mutation_test \
-  dispatch_stats_mc_test
+cmake --build build-mc -j "$JOBS" --target mc_tests
 ctest --test-dir build-mc --output-on-failure -R '^lint\.model_check\.'
 
 echo "=== [11/11] thread-safety annotations (clang -Wthread-safety) ==="

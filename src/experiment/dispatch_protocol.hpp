@@ -1,247 +1,233 @@
-// The sweep dispatch protocol as free functions over SweepBatchState.
+// SweepRunner's dispatch: one block of state under one mutex, and the
+// protocol over it as free functions.
 //
-// This is the code that actually runs in SweepRunner (sweep.cpp calls these
-// and nothing else touches the protocol state) AND the code the model
-// checker explores (tests/mc/ runs the same functions on virtual threads
-// under RBS_MODEL_CHECK). One definition, two executions — the models
-// cannot drift from production because there is no second copy to drift.
+// sweep.cpp calls these and nothing else touches the state; tests/mc/ runs
+// the same functions on virtual threads under RBS_MODEL_CHECK. The state is
+// spelled with check/mc/types.hpp: plain std types in production, schedule
+// points in a model.
 //
-// Protocol walkthrough:
-//   publish   worker 0 writes the batch parameters (point fn, size, chunk
-//             width) under `mutex`, resets the claim cursor, bumps the
-//             lock-free `batch_generation` (release), and wakes any helper
-//             that fell back to the condition variable.
-//   claim     every worker — worker 0 immediately, helpers after they
-//             notice the generation change and register under the mutex —
-//             claims chunked index ranges off the shared `next_index`
-//             cursor with one relaxed fetch_add per chunk. Atomicity of the
-//             RMW is what makes each index execute exactly once; ordering
-//             is supplied by the mutex at registration and drain.
-//   drain     worker 0 waits until the cursor is exhausted AND every
-//             registered helper checked out (`in_flight == 0`), then closes
-//             the batch (null point) so the cursor and parameters can be
-//             reused. Point exceptions are captured once and rethrown here.
-//   shutdown  the destructor raises `shutting_down` *under the mutex* —
-//             that is load-bearing: a helper decides to sleep while holding
-//             the mutex, so a flag raised outside it could land exactly
-//             between the helper's predicate check and its wait, and the
-//             notify that follows would be lost (the helper sleeps forever
-//             and the join hangs). tests/mc/dispatch_mutation_test.cpp
-//             proves the model checker catches exactly that reordering.
+// Every field is RBS_GUARDED_BY(mutex), so under Clang's -Wthread-safety an
+// access without the lock is a compile error; scripts/check_thread_safety.py
+// pokes each field it finds declared here and requires that error.
 //
-// The ProtocolMutation hooks exist to prove the model harness has teeth:
-// each one switches in a seeded, realistically-wrong variant of one
-// protocol step, and tests/mc/dispatch_mutation_test.cpp asserts the
-// explorer reports a violation with a replayable trace for every one of
-// them. In production builds the hooks are constexpr-false and every
-// mutated branch is dead code — the compiled protocol is identical to the
-// pre-hook code.
+// Protocol, every step under the mutex:
+//   publish   worker 0 stores the batch (point fn, size, chunk width),
+//             resets the cursor and wakes every helper.
+//   claim     a worker takes [next_index, next_index + chunk), counts it in
+//             flight and bumps its own counters, then runs the chunk with
+//             the lock released.
+//   check in  the worker records the first point exception (moving the
+//             cursor to the end skips the rest of the batch), drops
+//             in_flight, and wakes worker 0 once the batch is drained.
+//   drain     worker 0, out of chunks, waits until the cursor is exhausted
+//             and nothing is in flight, then closes the batch (null point).
+//   shutdown  the destructor raises shutting_down and wakes every helper.
+//             A helper tests the flag and sleeps under the lock, so a flag
+//             raised outside it could land between the two and the wakeup
+//             would be lost.
+//
+// The ProtocolMutation hooks switch in one realistic bug each, and
+// tests/mc/dispatch_mutation_test.cpp requires the explorer to catch every
+// one with a replayable trace. Production compiles none of them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "check/mc/types.hpp"
+#include "core/thread_annotations.hpp"
 #include "experiment/sweep.hpp"
-#include "experiment/sweep_dispatch.hpp"
 
 namespace rbs::experiment::detail {
 
-/// Seeded protocol bugs for mutation-kill testing (see file comment).
+#ifdef RBS_MODEL_CHECK
 enum class ProtocolMutation {
   kNone,
-  /// Claim with a load+store instead of the atomic fetch_add: two workers
-  /// can read the same cursor value and run the same chunk twice.
-  kTornClaim,
-  /// Raise `shutting_down` without taking the mutex: the store can land
-  /// between a helper's sleep decision and its wait — lost wakeup.
-  kShutdownOutsideLock,
-  /// Raise the flag correctly but skip the wakeup: a helper already asleep
-  /// on the condition variable never observes the shutdown.
-  kDropShutdownNotify,
-  /// Drain on cursor exhaustion alone, ignoring in_flight: the batch is
-  /// closed (and its state reused) while a helper is still mid-chunk.
-  kDrainIgnoresInFlight,
-  /// Publish the per-worker counters with relaxed instead of release
-  /// stores: dispatch_stats() readers lose the happens-before edge to the
-  /// work the counters summarize.
-  kRelaxedCounterPublish,
+  kClaimOutsideLock,      // worker 0 claims without the mutex
+  kCounterOutsideLock,    // counters bumped after the claim's critical section
+  kShutdownOutsideLock,   // shutting_down raised without the mutex
+  kDropShutdownNotify,    // shutdown wakes no helper
+  kDrainIgnoresInFlight,  // drain returns while a chunk still runs
 };
-
-#ifdef RBS_MODEL_CHECK
-/// Test-only mutation switch (single-threaded test setup writes it before
-/// explore(); virtual threads only read it).
+/// Written by single-threaded test code around explore(); read by the model.
 inline ProtocolMutation g_protocol_mutation = ProtocolMutation::kNone;
-inline bool protocol_mutation_is(ProtocolMutation m) {
-  return g_protocol_mutation == m;
-}
-#else
-/// Production: no mutations exist; every hooked branch folds away.
-constexpr bool protocol_mutation_is(ProtocolMutation) { return false; }
+inline bool protocol_mutation_is(ProtocolMutation m) { return g_protocol_mutation == m; }
 #endif
 
-/// Owner-only counter increment, published with release so a concurrent
-/// dispatch_stats() snapshot (relaxed loads + acquire fence) observes the
-/// counted work, not just the count.
-inline void bump_counter(check::mc::Atomic<std::uint64_t>& counter) {
-  const std::uint64_t next = counter.load(std::memory_order_relaxed) + 1;
-  if (protocol_mutation_is(ProtocolMutation::kRelaxedCounterPublish)) {
-    counter.store(next, std::memory_order_relaxed);
-  } else {
-    counter.store(next, std::memory_order_release);
+using PointFn = std::function<void(std::size_t, int)>;
+
+/// One worker's cumulative dispatch counters.
+struct WorkerCounters {
+  check::mc::NonAtomic<std::uint64_t> chunks;
+  check::mc::NonAtomic<std::uint64_t> points;
+};
+
+/// The state shared by worker 0 (the caller) and the helper threads. The
+/// cursor, the shutdown flag and the counters are written while other
+/// workers run; as mc::NonAtomic cells (a plain value in production) any
+/// access to them outside the mutex is a data race a model reports.
+struct SweepBatchState {
+  explicit SweepBatchState(std::size_t workers) : counters(workers) {}
+
+  check::mc::Mutex mutex;
+  check::mc::CondVar work_ready;  // helpers: a batch opened, or shutdown
+  check::mc::CondVar batch_done;  // worker 0: the batch drained
+
+  const PointFn* point RBS_GUARDED_BY(mutex) = nullptr;  // null between batches
+  std::size_t batch_size RBS_GUARDED_BY(mutex) = 0;
+  std::size_t chunk RBS_GUARDED_BY(mutex) = 1;
+  check::mc::NonAtomic<std::size_t> next_index RBS_GUARDED_BY(mutex){0};
+  std::size_t in_flight RBS_GUARDED_BY(mutex) = 0;  // chunks claimed, not checked in
+  check::mc::NonAtomic<bool> shutting_down RBS_GUARDED_BY(mutex){false};
+  std::exception_ptr first_error RBS_GUARDED_BY(mutex);
+  std::vector<WorkerCounters> counters RBS_GUARDED_BY(mutex);
+};
+
+/// A claimed index range [begin, end); an empty claim has a null point.
+struct Claim {
+  const PointFn* point = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+inline void count_chunk_locked(SweepBatchState& st, int worker, std::size_t points)
+    RBS_REQUIRES(st.mutex) {
+  WorkerCounters& mine = st.counters[static_cast<std::size_t>(worker)];
+  mine.chunks.store(mine.chunks.load() + 1);
+  mine.points.store(mine.points.load() + points);
+}
+
+/// Takes the open batch's next chunk for `worker`, if it has one.
+inline Claim claim_locked(SweepBatchState& st, int worker) RBS_REQUIRES(st.mutex) {
+  if (st.point == nullptr) return {};
+  const std::size_t begin = st.next_index.load();
+  if (begin >= st.batch_size) return {};
+  const std::size_t end = std::min(begin + st.chunk, st.batch_size);
+  st.next_index.store(end);
+  ++st.in_flight;
+#ifdef RBS_MODEL_CHECK
+  if (protocol_mutation_is(ProtocolMutation::kCounterOutsideLock)) return {st.point, begin, end};
+#endif
+  count_chunk_locked(st, worker, end - begin);
+  return {st.point, begin, end};
+}
+
+inline bool batch_drained_locked(SweepBatchState& st) RBS_REQUIRES(st.mutex) {
+#ifdef RBS_MODEL_CHECK
+  if (protocol_mutation_is(ProtocolMutation::kDrainIgnoresInFlight)) {
+    return st.next_index.load() >= st.batch_size;
   }
+#endif
+  return st.next_index.load() >= st.batch_size && st.in_flight == 0;
 }
 
-/// Reads one worker's counters for a stats snapshot (relaxed; pair the
-/// whole snapshot with counters_snapshot_fence() *after* the loads).
-inline WorkerDispatchStats sample_counters(const PaddedCounters& counters) {
-  WorkerDispatchStats out;
-  out.chunks = counters.chunks.load(std::memory_order_relaxed);
-  out.points = counters.points.load(std::memory_order_relaxed);
-  return out;
-}
-
-/// Acquire fence closing a counters snapshot: orders the relaxed counter
-/// loads before anything the caller does with the snapshot, paired with the
-/// release stores in bump_counter. Costs nothing on x86; documents and
-/// enforces the edge everywhere else.
-inline void counters_snapshot_fence() { check::mc::acquire_fence(); }
-
-/// Claims chunked ranges until the cursor passes the batch end. Shared by
-/// the caller (worker 0) and the helpers.
-inline void dispatch_work(SweepBatchState& st,
-                          const std::function<void(std::size_t, int)>& fn,
-                          std::size_t n, std::size_t width, int worker,
-                          PaddedCounters* counters) {
-  PaddedCounters& mine = counters[static_cast<std::size_t>(worker)];
+/// The worker's next chunk. A helper (`until_shutdown`) sleeps until there
+/// is one and gets an empty claim only at shutdown; worker 0 gets an empty
+/// claim as soon as the open batch has no unclaimed chunk.
+inline Claim next_claim(SweepBatchState& st, int worker, bool until_shutdown) {
+#ifdef RBS_MODEL_CHECK
+  if (protocol_mutation_is(ProtocolMutation::kClaimOutsideLock) && !until_shutdown) {
+    return claim_locked(st, worker);
+  }
+#endif
+  check::mc::CvLock lock{st.mutex};
   for (;;) {
-    std::size_t start;
-    if (protocol_mutation_is(ProtocolMutation::kTornClaim)) {
-      start = st.next_index.load(std::memory_order_relaxed);
-      st.next_index.store(start + width, std::memory_order_relaxed);
-    } else {
-      start = st.next_index.fetch_add(width, std::memory_order_relaxed);
-    }
-    if (start >= n) break;
-    const std::size_t end = start + width < n ? start + width : n;
-    bump_counter(mine.chunks);
-    for (std::size_t i = start; i < end; ++i) {
-      try {
-        fn(i, worker);
-        bump_counter(mine.points);
-      }
-      RBS_MC_RETHROW_ABORT
-      catch (...) {
-        {
-          check::mc::LockGuard lock{st.mutex};
-          if (!st.first_error) st.first_error = std::current_exception();
-        }
-        // Skip the remaining points; the batch still completes cleanly.
-        st.next_index.store(n, std::memory_order_relaxed);
-        return;
-      }
-    }
+    if (st.shutting_down.load()) return {};
+    const Claim claim = claim_locked(st, worker);
+    if (claim.point != nullptr || !until_shutdown) return claim;
+    check::mc::cv_wait(st.work_ready, lock);
   }
 }
 
-/// Helper thread body: spin-then-sleep on the batch generation, register,
-/// work, check out; return on shutdown. `spin_probes` is how many yielding
-/// generation probes precede the condition-variable fallback (production
-/// passes kSpinProbes; models pass 0-1 to keep the state space small).
-inline void dispatch_helper_loop(SweepBatchState& st, int worker,
-                                 int spin_probes, PaddedCounters* counters) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Spin-then-sleep: probe the generation with plain yields first, so
-    // batches arriving close together never pay a futex round-trip.
-    int probes = 0;
-    while (st.batch_generation.load(std::memory_order_acquire) == seen &&
-           !st.shutting_down.load(std::memory_order_relaxed)) {
-      if (++probes < spin_probes) {
-        check::mc::yield_now();
-      } else {
-        check::mc::CvLock lock{st.mutex};
-        ++st.sleeping_helpers;
-        while (!st.shutting_down.load(std::memory_order_relaxed) &&
-               st.batch_generation.load(std::memory_order_acquire) == seen) {
-          check::mc::cv_wait(st.work_ready, lock);
-        }
-        --st.sleeping_helpers;
-        break;
-      }
+/// Runs a claimed chunk unlocked, then checks it in. A throwing point ends
+/// the chunk and the batch; the batch still drains.
+inline void run_chunk(SweepBatchState& st, const Claim& claim, int worker) {
+#ifdef RBS_MODEL_CHECK
+  if (protocol_mutation_is(ProtocolMutation::kCounterOutsideLock)) {
+    count_chunk_locked(st, worker, claim.end - claim.begin);
+  }
+#endif
+  std::exception_ptr error;
+  for (std::size_t i = claim.begin; i < claim.end && !error; ++i) {
+    try {
+      (*claim.point)(i, worker);
     }
-    if (st.shutting_down.load(std::memory_order_relaxed)) return;
-
-    // Register in the batch under the mutex: the batch parameters and the
-    // cursor are mutated only between batches, which the in_flight count
-    // makes mutually exclusive with any helper being in here.
-    const std::function<void(std::size_t, int)>* fn = nullptr;
-    std::size_t n = 0;
-    std::size_t width = 1;
-    {
-      check::mc::LockGuard lock{st.mutex};
-      seen = st.batch_generation.load(std::memory_order_relaxed);
-      fn = st.point;
-      n = st.batch_size;
-      width = st.chunk;
-      if (fn == nullptr) continue;  // batch already fully drained and closed
-      ++st.in_flight;
-    }
-    dispatch_work(st, *fn, n, width, worker, counters);
-    {
-      check::mc::LockGuard lock{st.mutex};
-      if (--st.in_flight == 0) st.batch_done.notify_one();
+    RBS_MC_RETHROW_ABORT
+    catch (...) {
+      error = std::current_exception();
     }
   }
-}
-
-/// Publishes a batch: parameters under the mutex, cursor reset, generation
-/// bump (release), wakeup for any helper asleep on the condition variable.
-inline void dispatch_publish(SweepBatchState& st,
-                             const std::function<void(std::size_t, int)>& fn,
-                             std::size_t n, std::size_t width) {
   check::mc::LockGuard lock{st.mutex};
-  st.point = &fn;
+  if (error) {
+    if (!st.first_error) st.first_error = error;
+    st.next_index.store(st.batch_size);
+  }
+  --st.in_flight;
+  if (batch_drained_locked(st)) st.batch_done.notify_one();
+}
+
+/// Claims and runs chunks until next_claim() comes back empty. Worker 0
+/// calls it once per batch; it is the whole body of each helper thread.
+inline void dispatch_work(SweepBatchState& st, int worker, bool until_shutdown) {
+  for (Claim claim; (claim = next_claim(st, worker, until_shutdown)).point != nullptr;) {
+    run_chunk(st, claim, worker);
+  }
+}
+
+inline void dispatch_publish(SweepBatchState& st, const PointFn& point, std::size_t n,
+                             std::size_t width) {
+  check::mc::LockGuard lock{st.mutex};
+  st.point = &point;
   st.batch_size = n;
   st.chunk = width;
+  st.next_index.store(0);
   st.first_error = nullptr;
-  st.next_index.store(0, std::memory_order_relaxed);
-  st.batch_generation.fetch_add(1, std::memory_order_release);
-  if (st.sleeping_helpers > 0) st.work_ready.notify_all();
+  st.work_ready.notify_all();
 }
 
-/// Waits until the batch is complete — cursor exhausted AND every
-/// registered helper checked out — then closes it and hands back the first
-/// captured point exception (null if none).
-inline std::exception_ptr dispatch_drain_and_close(SweepBatchState& st,
-                                                   std::size_t n) {
+/// Waits for the batch to drain, closes it, and returns its first point
+/// exception (null if none).
+inline std::exception_ptr dispatch_drain_and_close(SweepBatchState& st) {
   check::mc::CvLock lock{st.mutex};
-  while ((st.in_flight != 0 &&
-          !protocol_mutation_is(ProtocolMutation::kDrainIgnoresInFlight)) ||
-         st.next_index.load(std::memory_order_relaxed) < n) {
-    check::mc::cv_wait(st.batch_done, lock);
-  }
-  // Close the batch: helpers arriving from now on see a null point and
-  // skip registration, so the cursor/parameters can be safely reused.
+  while (!batch_drained_locked(st)) check::mc::cv_wait(st.batch_done, lock);
   st.point = nullptr;
   return std::exchange(st.first_error, nullptr);
 }
 
-/// Raises the shutdown flag (under the mutex — see the file comment for
-/// why that placement is load-bearing) and wakes every sleeping helper.
+/// Counts a batch worker 0 runs serially as one chunk.
+inline void dispatch_count_serial(SweepBatchState& st, std::size_t n) {
+  check::mc::LockGuard lock{st.mutex};
+  count_chunk_locked(st, 0, n);
+}
+
+inline std::vector<WorkerDispatchStats> dispatch_stats_snapshot(SweepBatchState& st) {
+  check::mc::LockGuard lock{st.mutex};
+  std::vector<WorkerDispatchStats> out;
+  for (const WorkerCounters& c : st.counters) out.push_back({c.chunks.load(), c.points.load()});
+  return out;
+}
+
 inline void dispatch_shutdown(SweepBatchState& st) {
+#ifdef RBS_MODEL_CHECK
   if (protocol_mutation_is(ProtocolMutation::kShutdownOutsideLock)) {
-    st.shutting_down.store(true, std::memory_order_relaxed);
-  } else {
-    check::mc::LockGuard lock{st.mutex};
-    st.shutting_down.store(true, std::memory_order_relaxed);
-  }
-  if (!protocol_mutation_is(ProtocolMutation::kDropShutdownNotify)) {
+    st.shutting_down.store(true);
     st.work_ready.notify_all();
+    return;
   }
+#endif
+  {
+    check::mc::LockGuard lock{st.mutex};
+    st.shutting_down.store(true);
+  }
+#ifdef RBS_MODEL_CHECK
+  if (protocol_mutation_is(ProtocolMutation::kDropShutdownNotify)) return;
+#endif
+  st.work_ready.notify_all();
 }
 
 }  // namespace rbs::experiment::detail

@@ -1,46 +1,48 @@
 // Parallel sweep runner: executes independent experiment points on a small
 // thread pool with a deterministic result contract.
 //
-// Every reproduction figure is a batch of independent simulations — one per
+// Every reproduction figure is a batch of independent simulations, one per
 // (scenario, seed, buffer-size) point. Each point builds its own
-// sim::Simulation (scheduler + root RNG forked from the point's seed), so
-// two Simulations share no mutable state and a point computes bitwise the
-// same result whether it runs serially, concurrently, or on a machine with
-// a different core count. The runner only changes *when* points execute,
-// never *what* they compute:
+// sim::Simulation, so a point computes bitwise the same result serially,
+// concurrently, or on any core count. The runner only changes *when* points
+// execute, never *what* they compute: point i writes only results[i],
+// points are handed out as chunked index ranges, and nothing in src/ has
+// mutable global state (tests/sweep_test.cpp asserts parallel == serial).
 //
-//   1. point i writes only results[i] (index-addressed storage — map()
-//      collects into per-worker arenas and merges by index afterwards);
-//   2. points are handed out as chunked index ranges claimed off one atomic
-//      cursor, results returned in index order, so output ordering never
-//      depends on thread interleaving;
-//   3. nothing in src/ has mutable global state (asserted by the
-//      parallel-vs-serial equivalence test in tests/sweep_test.cpp).
-//
-// Dispatch is built not to serialize: the calling thread participates as
-// worker 0 (a batch needs no handoff to complete), helpers claim whole index
-// ranges instead of single points, the claim cursor and batch generation
-// live on their own cache lines, and between back-to-back batches helpers
-// spin briefly on the generation counter before touching a mutex, so a
-// steady stream of small batches never pays a futex round-trip per batch.
+// Dispatch is a plain pool (experiment/dispatch_protocol.hpp): all of its
+// state sits under one mutex, helpers sleep on a condition variable until a
+// batch has a chunk to claim, and the calling thread works every batch as
+// worker 0. Points run for milliseconds to seconds, so one lock round per
+// chunk costs nothing measurable (see BENCH_engine.json).
 //
 // Thread count: explicit argument > RBS_THREADS env var > hardware
-// concurrency. A single-threaded runner degenerates to an in-order serial
-// loop on the calling thread.
+// concurrency, capped at kMaxSweepThreads. A single-threaded runner
+// degenerates to an in-order serial loop on the calling thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace rbs::experiment {
 
-/// Worker threads a sweep uses when not told otherwise: the RBS_THREADS
-/// environment variable if set to a positive integer, else
-/// std::thread::hardware_concurrency().
+/// Most worker threads a SweepRunner starts; a larger count is a typo.
+inline constexpr int kMaxSweepThreads = 256;
+
+/// Worker threads a sweep uses when not told otherwise: RBS_THREADS if set
+/// and non-empty (a decimal integer in [1, kMaxSweepThreads], else
+/// std::invalid_argument naming the variable), else the hardware
+/// concurrency clamped to kMaxSweepThreads.
 [[nodiscard]] int default_sweep_threads();
+
+/// The thread count SweepRunner{threads} runs with: threads <= 0 selects
+/// default_sweep_threads(); a count above kMaxSweepThreads throws
+/// std::invalid_argument. Starts no thread.
+[[nodiscard]] int resolve_sweep_threads(int threads);
 
 /// Observation hooks around each sweep point, for progress display and
 /// profiling (see telemetry::SweepProfile). Hooks fire on worker threads —
@@ -55,10 +57,11 @@ struct SweepObserver {
 };
 
 /// Cumulative dispatch counters for one worker: how many index ranges it
-/// claimed and how many points it ran. A healthy parallel batch shows every
-/// worker claiming a similar number of chunks; one worker owning nearly all
-/// points means the others never woke in time (or the batch was too small
-/// to share).
+/// claimed and how many points those ranges held (a point skipped because
+/// an earlier one in its range threw still counts). A healthy parallel
+/// batch shows every worker claiming a similar number of chunks; one worker
+/// owning nearly all points means the others never woke in time (or the
+/// batch was too small to share).
 struct WorkerDispatchStats {
   std::uint64_t chunks{0};
   std::uint64_t points{0};
@@ -66,7 +69,8 @@ struct WorkerDispatchStats {
 
 /// A reusable pool of worker threads for running independent experiment
 /// points. Construction spawns threads()-1 helpers (the caller is worker 0);
-/// destruction joins them.
+/// destruction joins them. The count is validated (resolve_sweep_threads)
+/// before any thread starts.
 class SweepRunner {
  public:
   /// threads <= 0 selects default_sweep_threads(). `checked` enables the
@@ -94,66 +98,36 @@ class SweepRunner {
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& point);
 
   /// Worker-aware variant: the executing worker's index in [0, threads())
-  /// is passed alongside the point index, so callers can keep per-worker
-  /// state (arenas, counters) without sharing. Same distribution and
-  /// exception contract as above.
+  /// is passed alongside the point index. Same contract as above.
   void run_indexed(std::size_t n, const std::function<void(std::size_t, int)>& point);
 
   /// Maps i -> point(i) into a vector in index order. R must be default-
-  /// constructible and movable. Each worker collects its results in a
-  /// private arena (no shared output line is written from two threads) and
-  /// the arenas are merged by index after the batch — the output is
-  /// identical to a serial loop regardless of interleaving.
+  /// constructible and movable. Each point writes its own out[i], so the
+  /// output is identical to a serial loop regardless of interleaving.
   template <typename R, typename F>
   std::vector<R> map(std::size_t n, F&& point) {
+    static_assert(!std::is_same_v<R, bool>,
+                  "std::vector<bool> packs elements into shared words, so two "
+                  "points writing out[i] concurrently would race");
     std::vector<R> out(n);
-    if (num_threads_ <= 1 || n == 1) {
-      run_indexed(n, [&](std::size_t i) { out[i] = point(i); });
-      return out;
-    }
-    struct alignas(64) Arena {
-      std::vector<std::pair<std::size_t, R>> items;
-    };
-    std::vector<Arena> arenas(static_cast<std::size_t>(num_threads_));
-    run_indexed(n, std::function<void(std::size_t, int)>{[&](std::size_t i, int worker) {
-                  arenas[static_cast<std::size_t>(worker)].items.emplace_back(i, point(i));
-                }});
-    for (Arena& arena : arenas) {
-      for (auto& [index, result] : arena.items) out[index] = std::move(result);
-    }
+    run_indexed(n, [&](std::size_t i) { out[i] = point(i); });
     return out;
   }
 
   /// Per-worker dispatch counters, cumulative since construction. Index 0
   /// is the calling thread. Safe to call concurrently with a running batch:
-  /// counters are published with release stores and the snapshot closes
-  /// with an acquire fence, so each value is a consistent (if momentarily
-  /// stale) prefix of that worker's progress — everything a counted
-  /// increment summarizes happens-before the snapshot's return. Pinned by
-  /// the model in tests/mc/dispatch_stats_mc_test.cpp.
+  /// the copy is taken under the dispatch mutex, and a worker bumps its
+  /// counters in the same critical section as the claim they count, so a
+  /// snapshot never shows half a claim. Pinned by the model in
+  /// tests/mc/dispatch_stats_mc_test.cpp.
   [[nodiscard]] std::vector<WorkerDispatchStats> dispatch_stats() const;
 
  private:
-  /// Shared batch engine behind both run_indexed overloads: `raw(i, worker)`
-  /// is the caller's point with no std::function wrapper of its own, so the
-  /// serial path invokes it directly and the parallel path pays exactly one
-  /// type-erasure hop. Defined in sweep.cpp; instantiated only there.
-  template <typename PointFn>
-  void run_batch(std::size_t n, PointFn&& raw);
-
   struct Impl;
-  Impl* impl_;
   int num_threads_;
   bool checked_;
   SweepObserver observer_;
+  std::unique_ptr<Impl> impl_;
 };
-
-/// One-shot convenience: runs point(i) for i in [0, n) on a transient
-/// SweepRunner and returns the results in index order.
-template <typename R, typename F>
-std::vector<R> parallel_sweep(std::size_t n, F&& point, int threads = 0) {
-  SweepRunner runner{threads};
-  return runner.map<R>(n, std::forward<F>(point));
-}
 
 }  // namespace rbs::experiment

@@ -53,8 +53,8 @@ TEST(DispatchStress, ClaimExactlyOnceAcrossIterations) {
 // Shutdown monotonicity: once the destructor begins, no new claim is ever
 // made — every point observed in flight completed before the destructor
 // returned, across 100 construct/run/destroy cycles (each one exercising
-// helpers in whatever state the OS scheduler left them: spinning, sleeping
-// on the condition variable, or mid-chunk).
+// helpers in whatever state the OS scheduler left them: not yet started,
+// asleep on the condition variable, or checking in a chunk).
 TEST(DispatchStress, NoClaimAfterShutdown) {
   for (int iter = 0; iter < kIterations; ++iter) {
     std::atomic<bool> destroyed{false};
@@ -73,8 +73,9 @@ TEST(DispatchStress, NoClaimAfterShutdown) {
 }
 
 // Concurrent stats snapshots: dispatch_stats() may race running batches by
-// contract (release publish + acquire-fenced snapshot — the ordering the
-// model in tests/mc/dispatch_stats_mc_test.cpp pins). Each per-worker
+// contract (the copy is taken under the dispatch mutex, which a worker also
+// holds while it claims a chunk and bumps its counters — the discipline
+// the model in tests/mc/dispatch_stats_mc_test.cpp pins). Each per-worker
 // counter is cumulative, so successive snapshots must be monotonic, and
 // the final snapshot must account for every point of every batch.
 TEST(DispatchStress, ConcurrentStatsSnapshotsAreMonotonic) {

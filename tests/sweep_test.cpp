@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "experiment/long_flow_experiment.hpp"
@@ -96,6 +97,41 @@ TEST(SweepRunner, DefaultThreadsHonorsEnvVar) {
   EXPECT_GE(default_sweep_threads(), 1);
 }
 
+// RBS_THREADS is parsed strictly: anything but a decimal count in
+// [1, kMaxSweepThreads] throws an error that names the variable, and the
+// hardware default never exceeds the cap.
+TEST(SweepRunner, DefaultThreadsRejectsMalformedEnvVar) {
+  const std::string over_cap = std::to_string(kMaxSweepThreads + 1);
+  for (const char* bad : {"4x", "x4", "abc", " 4", "4 ", "+4", "0", "-2", "1e2", "2.5",
+                          "99999999999999999999", over_cap.c_str()}) {
+    ::setenv("RBS_THREADS", bad, 1);
+    try {
+      (void)default_sweep_threads();
+      ADD_FAILURE() << "RBS_THREADS='" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("RBS_THREADS"), std::string::npos) << e.what();
+    }
+  }
+  ::setenv("RBS_THREADS", std::to_string(kMaxSweepThreads).c_str(), 1);
+  EXPECT_EQ(default_sweep_threads(), kMaxSweepThreads);
+  ::setenv("RBS_THREADS", "", 1);  // empty counts as unset
+  const int hardware = default_sweep_threads();
+  EXPECT_GE(hardware, 1);
+  EXPECT_LE(hardware, kMaxSweepThreads);
+  ::unsetenv("RBS_THREADS");
+}
+
+// The constructor's count check, exercised without starting a thread.
+TEST(SweepRunner, ResolveThreadsCapsExplicitCounts) {
+  EXPECT_EQ(resolve_sweep_threads(1), 1);
+  EXPECT_EQ(resolve_sweep_threads(kMaxSweepThreads), kMaxSweepThreads);
+  EXPECT_THROW((void)resolve_sweep_threads(kMaxSweepThreads + 1), std::invalid_argument);
+  EXPECT_THROW((void)resolve_sweep_threads(1 << 30), std::invalid_argument);
+  ::unsetenv("RBS_THREADS");
+  EXPECT_EQ(resolve_sweep_threads(0), default_sweep_threads());
+  EXPECT_EQ(resolve_sweep_threads(-3), default_sweep_threads());
+}
+
 // The determinism contract: a sweep point computes bitwise the same result
 // whether it runs serially or on a pool, because every point owns its
 // Simulation (scheduler + forked RNG) and nothing in src/ has mutable
@@ -147,7 +183,7 @@ TEST(SweepRunner, ParallelShortFlowSweepIsBitwiseIdenticalToSerial) {
 
   std::vector<ShortFlowExperimentResult> serial;
   for (std::size_t i = 0; i < buffers.size(); ++i) serial.push_back(run_point(i));
-  const auto parallel = parallel_sweep<ShortFlowExperimentResult>(buffers.size(), run_point, 2);
+  const auto parallel = SweepRunner{2}.map<ShortFlowExperimentResult>(buffers.size(), run_point);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
