@@ -75,7 +75,6 @@
 //                         exception, dump recent trace events, a metrics
 //                         snapshot, and live queue/scheduler state as
 //                         deterministic JSON to PATH (single-point runs)
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -86,11 +85,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <system_error>
 
 #include "core/recommendation.hpp"
 #include "core/sizing_rules.hpp"
 #include "experiment/cca_matrix.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/mixed_flow_experiment.hpp"
 #include "experiment/reporting.hpp"
@@ -143,20 +142,15 @@ struct BadValue {
 };
 
 /// The number `key` holds, or `fallback` when it is absent. The whole value
-/// must parse as a T in [lo, hi]; for floating point the default bounds also
-/// reject NaN and the infinities.
+/// must parse as a T in [lo, hi] (experiment::parse_number).
 template <typename T>
 T get_num(const KeyValues& kv, const std::string& key, T fallback,
           T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
   const auto it = kv.find(key);
   if (it == kv.end()) return fallback;
-  const std::string& text = it->second;
-  T v{};
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || end != text.data() + text.size() || !(v >= lo && v <= hi)) {
-    throw BadValue{key, text};
-  }
-  return v;
+  const auto v = rbs::experiment::parse_number<T>(it->second, lo, hi);
+  if (!v) throw BadValue{key, it->second};
+  return *v;
 }
 
 /// A duration in seconds: non-negative (positive when `positive`) and at

@@ -1,23 +1,25 @@
 """rbs-analyze: simulator-semantics static analysis for the rbs codebase.
 
-An AST-grounded analyzer with simulator-specific rules the regex lint
-(scripts/lint_determinism.py) cannot express:
+The repository's one determinism checker (R1/R2/R4) and its concurrency,
+API and observability rules:
 
-  R1  nondeterminism sources (random_device, rand, wall clocks,
-      pointer-keyed ordered containers) outside an allowlist
-  R2  iteration over unordered_map/unordered_set whose loop body has
-      observable effects
+  R1  nondeterminism sources (random_device, rand, std engines and
+      distributions, wall clocks and time(), pointer-keyed ordered
+      containers, raw picosecond literals outside sim/time.hpp) outside an
+      allowlist
+  R2  unordered containers: every declaration needs a waiver, and iteration
+      whose loop body has observable effects is flagged
   R3  raw double/int64 parameters or members with unit-suffixed names
       (_ps/_seconds/_bytes/_bps/_pkts) crossing public API boundaries
       instead of the strong types in src/core/units.hpp and sim/time.hpp
   R4  RNG discipline: every Rng forked from a named stream, never
-      default- or literal-seeded outside tests/
+      default-, empty- or literal-seeded outside tests/
   R5  event-callback lifetime: no by-reference captures in lambdas handed
       to the pooled scheduler (schedule_at/schedule_after/at/after)
   R6  concurrency classification: no writes through by-ref captures inside
       parallel sweep lambdas, and every mutable field of a cross-thread
       class (one owning mutexes/threads) must be atomic, RBS_GUARDED_BY,
-      a per-worker PaddedCounters slot, or const
+      or const
   R7  pooled-event lifetime: no EventPool slot reference/pointer captured
       into a scheduled callback that outlives the slot's recycle point
   R8  backend purity: simulation-semantics code must not branch on the
@@ -43,13 +45,17 @@ Two interchangeable backends produce the same findings model:
                   R6–R8 are delegated to the shared token engine even here:
                   libclang does not surface the GNU thread-safety
                   attributes the classifications hinge on, and the
-                  delegation guarantees backend-identical findings.
+                  delegation guarantees backend-identical findings. So are
+                  R9–R12 and the token-level checks of R1/R2/R4
+                  (rules.TOKEN_CHECKS), each written once.
   * ``textual`` — a self-contained C++ lexer; no dependencies beyond the
                   standard library, so the analyzer runs in any container.
 
+A deliberate violation is waived on its line or the line above with
+``// rbs-analyze: allow(R2) -- <reason>``; the reason is mandatory.
 Findings are governed by a checked-in baseline (baseline.json) with a
 ratchet: per-(rule, file) counts may only go down. See
-docs/static_analysis.md for the workflow and suppression syntax.
+docs/static_analysis.md for the workflow.
 """
 
 __version__ = "1.2"

@@ -36,8 +36,8 @@ RAW_SCALAR_TYPES = {
 }
 UNIT_SUFFIXES = ("_ps", "_seconds", "_bytes", "_bps", "_pkts")
 
-# Wall-clock reads are sanctioned where the regex lint sanctions them:
-# telemetry (profiling/tracing needs real time) and bench harnesses.
+# Wall-clock reads are sanctioned in telemetry (profiling/tracing needs real
+# time) and bench harnesses.
 WALL_CLOCK_ALLOWED_PREFIXES = ("src/telemetry/", "bench/")
 WALL_CLOCK_IDENTS = {
     "system_clock",
@@ -46,6 +46,31 @@ WALL_CLOCK_IDENTS = {
     "gettimeofday",
     "clock_gettime",
 }
+
+# Standard-library engines bypass sim::Rng's seed derivation and named-stream
+# forks. Every std::*_distribution is flagged too: their algorithms are
+# implementation-defined, so results differ across standard libraries.
+STD_RANDOM_ENGINES = {
+    "mt19937",
+    "mt19937_64",
+    "minstd_rand",
+    "minstd_rand0",
+    "default_random_engine",
+}
+
+UNORDERED_CONTAINERS = {
+    "unordered_map",
+    "unordered_set",
+    "unordered_multimap",
+    "unordered_multiset",
+}
+
+# Picosecond-scale literals: three or more thousands groups (1'000'000'000
+# and longer). Two groups (1'000'000) are flow-id offsets and packet counts,
+# not times. The SimTime factories in src/sim/time.hpp are the one home of
+# raw tick arithmetic.
+_RAW_PS_LITERAL_RE = re.compile(r"\d{1,3}(?:'\d{3}){3,}(?![\d'])")
+TIME_HOME = "src/sim/time.hpp"
 
 SCHEDULER_CALLS = {"schedule_at", "schedule_after", "at", "after"}
 
@@ -67,7 +92,7 @@ POOL_LIFETIME_ALLOWED_PREFIXES = ("src/sim/",)
 BACKEND_PURITY_ALLOWED_PREFIXES = ("src/sim/", "src/telemetry/", "bench/")
 
 # Field classifications (see symbols.py) that sanction a cross-thread write.
-_SANCTIONED_WRITE_CLASSES = {"atomic", "guarded", "padded"}
+_SANCTIONED_WRITE_CLASSES = {"atomic", "guarded"}
 
 # The concurrency-primitive layer: the annotated-mutex wrappers and the
 # model-checker instrumentation/scheduler. R10 sanctions raw std primitives
@@ -116,7 +141,7 @@ def build_context(files: Dict[str, List[Token]],
     ctx.metric_reference = _load_metric_reference(repo)
     for tokens in files.values():
         for i, t in enumerate(tokens):
-            if t.text in ("unordered_map", "unordered_set"):
+            if t.text in UNORDERED_CONTAINERS:
                 j = i + 1
                 if j < len(tokens) and tokens[j].text == "<":
                     close = find_matching(tokens, j, "<", ">")
@@ -137,6 +162,107 @@ def _is_member_or_qualified(tokens: List[Token], i: int) -> bool:
 
 def _in_tests(path: str) -> bool:
     return path.startswith("tests/")
+
+
+# --------------------------------------------------------------------------
+# Token checks both backends run
+# --------------------------------------------------------------------------
+# Parts of R1/R2/R4 that need nothing but the token stream. The textual rules
+# call them; the clang backend runs them through its token engine beside its
+# AST visitors (TOKEN_CHECKS below), so each is written once.
+def _is_time_call(tokens: List[Token], i: int) -> bool:
+    """`time(...)` as a call to the C library: bare, `::time` or `std::time`.
+    A member call (`sim.time()`), another namespace's `time`, and a
+    declarator (`SimTime time() const`, `const SimTime& time()`) are not."""
+    if not match_seq(tokens, i + 1, "("):
+        return False
+    prev = _prev_text(tokens, i)
+    if prev in (".", "->", ">", "~", "&", "*"):
+        return False
+    if prev == "::":
+        return i < 2 or tokens[i - 2].kind != "ident" or tokens[i - 2].text == "std"
+    return i == 0 or tokens[i - 1].kind != "ident" or prev == "return"
+
+
+def _r1_token_checks(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Finding]:
+    """std engines and distributions, C `time()` calls, raw picosecond literals."""
+    findings: List[Finding] = []
+    wall_clock_ok = path.startswith(WALL_CLOCK_ALLOWED_PREFIXES)
+    for i, t in enumerate(tokens):
+        if t.kind == "number":
+            if path != TIME_HOME and _RAW_PS_LITERAL_RE.match(t.text):
+                findings.append(
+                    Finding(path, t.line, "R1",
+                            f"raw picosecond-scale literal {t.text}",
+                            "use the sim::SimTime factories (seconds/milliseconds/...) "
+                            "instead of tick arithmetic")
+                )
+        elif t.kind != "ident":
+            continue
+        elif t.text in STD_RANDOM_ENGINES or (
+            t.text.endswith("_distribution") and match_seq(tokens, i - 2, "std", "::")
+        ):
+            findings.append(
+                Finding(path, t.line, "R1",
+                        f"std::{t.text} is not a portable, forkable random stream",
+                        "use sim::Rng forked from a named stream")
+            )
+        elif t.text == "time" and not wall_clock_ok and _is_time_call(tokens, i):
+            findings.append(
+                Finding(path, t.line, "R1", "wall-clock read via time()",
+                        "simulated code must use sim::SimTime / Simulation::now()")
+            )
+    return findings
+
+
+def _r2_unordered_declarations(path: str, tokens: List[Token],
+                               ctx: AnalysisContext) -> List[Finding]:
+    """Every std::unordered_{map,set,multimap,multiset} spelled out."""
+    return [
+        Finding(path, t.line, "R2",
+                f"std::{t.text} declared; its iteration order depends on the hash layout",
+                "show it is lookup-only or iterated through an ordered companion: "
+                "// rbs-analyze: allow(R2) -- <reason>")
+        for i, t in enumerate(tokens)
+        if t.kind == "ident" and t.text in UNORDERED_CONTAINERS and match_seq(tokens, i + 1, "<")
+    ]
+
+
+def _declares_rng_constructor(tokens: List[Token], i: int) -> bool:
+    """`Rng()` at tokens[i] declares a constructor (`Rng();` in the class
+    body, `explicit Rng()`, `Rng::Rng()`) rather than building a temporary."""
+    prev = _prev_text(tokens, i)
+    if prev == "::":
+        return i >= 2 and tokens[i - 2].text == "Rng"
+    return prev in ("", ";", "{", "}", ":", "~") or (
+        tokens[i - 1].kind == "ident" and prev != "return")
+
+
+def _r4_seedless_rngs(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Finding]:
+    """`Rng x{}`, `Rng{}` and `Rng()`: an Rng built with no seed at all."""
+    if _in_tests(path):
+        return []
+    findings: List[Finding] = []
+    for i, t in enumerate(tokens):
+        if t.kind != "ident" or t.text != "Rng" or _prev_text(tokens, i) in ("struct", "class"):
+            continue
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        if nxt is not None and nxt.kind == "ident" and match_seq(tokens, i + 2, "{", "}"):
+            # Worded like rule_r4's `Rng x;` finding, which the clang
+            # backend's AST visitor may also report here: the two dedupe.
+            findings.append(
+                Finding(path, t.line, "R4",
+                        f"Rng '{nxt.text}' default-constructed (unseeded)",
+                        "fork from a named stream: sim.rng().fork(kMyStream)")
+            )
+        elif match_seq(tokens, i + 1, "{", "}") or (
+            match_seq(tokens, i + 1, "(", ")") and not _declares_rng_constructor(tokens, i)
+        ):
+            findings.append(
+                Finding(path, t.line, "R4", "Rng temporary constructed without a seed",
+                        "fork from a named stream: sim.rng().fork(kMyStream)")
+            )
+    return findings
 
 
 # --------------------------------------------------------------------------
@@ -166,14 +292,6 @@ def rule_r1(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                 Finding(path, t.line, "R1", f"wall-clock read via {t.text}",
                         "simulated code must use sim::SimTime / Simulation::now()")
             )
-        elif t.text == "time" and match_seq(tokens, i - 1, "::", "time") and not wall_clock_ok:
-            # std::time(...) / ::time(...) — not SimTime (type use, no call),
-            # not member calls like sim.time().
-            if match_seq(tokens, i + 1, "("):
-                findings.append(
-                    Finding(path, t.line, "R1", "wall-clock read via time()",
-                            "simulated code must use sim::SimTime / Simulation::now()")
-                )
         elif t.text in ("map", "set") and match_seq(tokens, i - 1, "::", t.text):
             # std::map/std::set keyed by a pointer type: iteration order is
             # the pointer order — an address-space-layout dependency.
@@ -198,7 +316,7 @@ def rule_r1(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                                     f"std::{t.text} keyed by a pointer type iterates in address order",
                                     "key by a stable id (FlowId, NodeId, name) instead of a pointer")
                         )
-    return findings
+    return findings + _r1_token_checks(path, tokens, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +393,7 @@ def rule_r2(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                     "ordered container, or justify with "
                     "// rbs-analyze: allow(R2) -- <reason>")
         )
-    return findings
+    return findings + _r2_unordered_declarations(path, tokens, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +473,7 @@ def rule_r4(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                             "derive from the run seed via a named stream: "
                             "sim.rng().fork(kMyStream) or Rng{config.seed}")
                 )
-    return findings
+    return findings + _r4_seedless_rngs(path, tokens, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -610,8 +728,7 @@ def rule_r6(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
 
     # Prong (b): a class that owns threads/mutexes/condition variables is
     # cross-thread by construction; every mutable member must carry a
-    # concurrency classification (atomic / RBS_GUARDED_BY / PaddedCounter /
-    # const). Unclassified members are exactly the state -Wthread-safety
+    # concurrency classification (atomic / RBS_GUARDED_BY / const). Unclassified members are exactly the state -Wthread-safety
     # cannot see. The concurrency-primitive layer itself (annotation
     # wrappers, the model-checker scheduler) is sanctioned: it is the
     # instrument these classifications are expressed in, and its own
@@ -628,10 +745,9 @@ def rule_r6(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                     Finding(path, field.line, "R6",
                             f"field '{field.name}' of cross-thread class "
                             f"'{cls_info.name}' has no concurrency classification",
-                            "classify it: std::atomic, RBS_GUARDED_BY(mutex), a "
-                            "per-worker PaddedCounters slot, or const — the "
-                            "thread-safety analysis cannot check what is not "
-                            "annotated")
+                            "classify it: std::atomic, RBS_GUARDED_BY(mutex), or "
+                            "const — the thread-safety analysis cannot check "
+                            "what is not annotated")
                 )
     return findings
 
@@ -1038,4 +1154,10 @@ ALL_RULES = {
     "R10": rule_r10,
     "R11": rule_r11,
     "R12": rule_r12,
+}
+
+TOKEN_CHECKS = {
+    "R1": _r1_token_checks,
+    "R2": _r2_unordered_declarations,
+    "R4": _r4_seedless_rngs,
 }

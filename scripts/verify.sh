@@ -3,32 +3,32 @@
 #   0. preflight: every tool the pass needs must exist up front; a missing
 #      tool is a hard failure with a named diagnostic, never a silent skip
 #   1. tier-1: RelWithDebInfo build + complete ctest suite
-#   2. determinism lint: scripts/lint_determinism.py over src/
-#   3. semantics analysis: rbs-analyze rules R1-R12 against the checked-in
-#      baseline, plus the analyzer's own fixture corpus
-#   4. fault scenarios: the deterministic failure-scenario suite plus an
+#   2. semantics analysis: rbs-analyze rules R1-R12 (R1/R2/R4 are the
+#      determinism rules) against the checked-in baseline, plus the
+#      analyzer's own fixture corpus
+#   3. fault scenarios: the deterministic failure-scenario suite plus an
 #      rbsim --faults smoke run (schedule parse, arming banner, fault report)
-#   5. bench smoke: one short repetition of the engine microbenchmarks,
+#   4. bench smoke: one short repetition of the engine microbenchmarks,
 #      plus the end-to-end benchmark's self-test (perfbench/run.py
 #      --self-test: every workload at a tiny size, and the correctness gate
 #      must reject a wrong digest)
-#   6. telemetry smoke: one instrumented rbsim run with per-flow rollups and
+#   5. telemetry smoke: one instrumented rbsim run with per-flow rollups and
 #      the flight recorder armed; validate the Chrome trace, metrics, and
 #      flow-stats artifacts (and any post-mortem) with check_telemetry.py
-#   7. CCA smoke: one short rbsim run per modern congestion-control flavor
+#   6. CCA smoke: one short rbsim run per modern congestion-control flavor
 #      (cubic, bbr, dctcp); each must finish, report utilization, and label
 #      every flow with its flavor in the flow-stats rollup
-#   8. ASan/UBSan + RBS_CHECKED: rebuild with AddressSanitizer +
+#   7. ASan/UBSan + RBS_CHECKED: rebuild with AddressSanitizer +
 #      UndefinedBehaviorSanitizer and the hot-path invariant macros armed,
 #      run the complete test suite
-#   9. TSAN: rebuild scheduler + sweep runner under ThreadSanitizer and run
+#   8. TSAN: rebuild scheduler + sweep runner under ThreadSanitizer and run
 #      the concurrency-sensitive tests (scheduler_test, sweep_test,
 #      timing_wheel_test, property_test, dispatch_stress_test)
-#  10. model check: rebuild with RBS_MODEL_CHECK=ON (instrumentation is
+#   9. model check: rebuild with RBS_MODEL_CHECK=ON (instrumentation is
 #      per-target in tests/mc/ — production libraries are untouched) and
 #      run the interleaving explorer: harness conformance, exhaustive
 #      dispatch-protocol models, mutation kills, the stats snapshot model
-#  11. thread-safety annotations: clang++ -Wthread-safety positive +
+#  10. thread-safety annotations: clang++ -Wthread-safety positive +
 #      compile-fail harness (scripts/check_thread_safety.py). Needs a
 #      clang++ binary; skipped loudly when none exists (the analysis is
 #      Clang-only — there is nothing equivalent to run under GCC).
@@ -43,7 +43,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "=== [0/11] preflight: required tools ==="
+echo "=== [0/10] preflight: required tools ==="
 missing=0
 for tool in cmake ctest python3 gnuplot; do
   if ! command -v "$tool" >/dev/null 2>&1; then
@@ -55,7 +55,7 @@ for tool in cmake ctest python3 gnuplot; do
     case "$tool" in
       cmake)   why="configures and drives every build in this pass" ;;
       ctest)   why="runs the test suites" ;;
-      python3) why="runs the determinism lint, semantics analyzer, and telemetry validation" ;;
+      python3) why="runs the semantics analyzer and telemetry validation" ;;
       gnuplot) why="renders emitted .gp figure scripts (set RBS_VERIFY_ALLOW_MISSING_GNUPLOT=1 to proceed without figures)" ;;
     esac
     echo "verify: FATAL: required tool '$tool' not found in PATH — $why" >&2
@@ -67,15 +67,12 @@ if [[ "$missing" -ne 0 ]]; then
   exit 1
 fi
 
-echo "=== [1/11] tier-1 build + tests ==="
+echo "=== [1/10] tier-1 build + tests ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [2/11] determinism lint ==="
-cmake --build build --target lint
-
-echo "=== [3/11] semantics analysis (rbs-analyze + fixture corpus) ==="
+echo "=== [2/10] semantics analysis (rbs-analyze + fixture corpus) ==="
 # Preflight: the analyzer package must be importable before we trust a pass.
 PYTHONPATH=scripts python3 -c "import rbs_analyze" || {
   echo "verify: FATAL: scripts/rbs_analyze is not importable" >&2
@@ -84,7 +81,7 @@ PYTHONPATH=scripts python3 -c "import rbs_analyze" || {
 cmake --build build --target analyze
 python3 scripts/run_analyzer_fixtures.py
 
-echo "=== [4/11] fault scenarios + rbsim --faults smoke ==="
+echo "=== [3/10] fault scenarios + rbsim --faults smoke ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'FaultScenarioTest|FaultFuzz|FaultScheduleTest|FaultLinkTest|InjectorTest'
 mkdir -p build/fault_smoke
@@ -105,11 +102,11 @@ if ./build/examples/rbsim mode=long duration=1 warmup=0 \
 fi
 grep -q "line 1" build/fault_smoke/err.txt
 
-echo "=== [5/11] bench smoke + benchmark self-test ==="
+echo "=== [4/10] bench smoke + benchmark self-test ==="
 cmake --build build -j "$JOBS" --target bench_smoke
 python3 perfbench/run.py --self-test
 
-echo "=== [6/11] telemetry smoke ==="
+echo "=== [5/10] telemetry smoke ==="
 mkdir -p build/telemetry_smoke
 ./build/examples/rbsim mode=long flows=20 duration=2 warmup=1 \
   --metrics build/telemetry_smoke/metrics.json \
@@ -125,7 +122,7 @@ if [ -f build/telemetry_smoke/post_mortem.json ]; then
     --post-mortem build/telemetry_smoke/post_mortem.json
 fi
 
-echo "=== [7/11] CCA smoke: cubic / bbr / dctcp short runs ==="
+echo "=== [6/10] CCA smoke: cubic / bbr / dctcp short runs ==="
 mkdir -p build/cca_smoke
 for cca in cubic bbr dctcp; do
   ./build/examples/rbsim mode=long flows=6 duration=2 warmup=1 "cca=$cca" \
@@ -146,12 +143,12 @@ assert f"flowstats.cca.{cca}" in names, \
 EOF
 done
 
-echo "=== [8/11] ASan/UBSan + RBS_CHECKED: full test suite ==="
+echo "=== [7/10] ASan/UBSan + RBS_CHECKED: full test suite ==="
 cmake -B build-asan -S . -DRBS_ASAN=ON -DRBS_CHECKED=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== [9/11] ThreadSanitizer: concurrency tests ==="
+echo "=== [8/10] ThreadSanitizer: concurrency tests ==="
 cmake -B build-tsan -S . -DRBS_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target scheduler_test sweep_test timing_wheel_test property_test \
@@ -162,14 +159,14 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/tests/property_test
 ./build-tsan/tests/dispatch_stress_test
 
-echo "=== [10/11] model check: interleaving explorer over tests/mc ==="
+echo "=== [9/10] model check: interleaving explorer over tests/mc ==="
 # RBS_MODEL_CHECK is applied per-target inside tests/mc/ only; the
 # production libraries in build-mc are compiled exactly as in tier-1.
 cmake -B build-mc -S . -DRBS_MODEL_CHECK=ON >/dev/null
 cmake --build build-mc -j "$JOBS" --target mc_tests
 ctest --test-dir build-mc --output-on-failure -R '^lint\.model_check\.'
 
-echo "=== [11/11] thread-safety annotations (clang -Wthread-safety) ==="
+echo "=== [10/10] thread-safety annotations (clang -Wthread-safety) ==="
 if command -v clang++ >/dev/null 2>&1; then
   python3 scripts/check_thread_safety.py
 else

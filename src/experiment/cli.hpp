@@ -9,13 +9,34 @@
 //                identical for any thread count)
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
+
+#include "experiment/sweep.hpp"
 
 namespace rbs::experiment {
+
+/// `text` as a T in [lo, hi], or nullopt. The whole string must parse: no
+/// leading blanks, no trailing characters. For floating point the default
+/// bounds also reject NaN and the infinities.
+template <typename T>
+std::optional<T> parse_number(std::string_view text, T lo = std::numeric_limits<T>::lowest(),
+                              T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || !(v >= lo && v <= hi)) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 struct CliOptions {
   bool full{false};
@@ -26,7 +47,21 @@ struct CliOptions {
   [[nodiscard]] bool want_csv() const noexcept { return !csv_dir.empty(); }
 };
 
-/// Parses the common flags; exits with a usage message on unknown arguments.
+/// The value `text` of `flag` as a T in [lo, hi]; exits 2 naming the flag
+/// when parse_number rejects it.
+template <typename T>
+T flag_value(const char* flag, const char* text, T lo = std::numeric_limits<T>::lowest(),
+             T hi = std::numeric_limits<T>::max()) {
+  const auto v = parse_number<T>(text, lo, hi);
+  if (!v) {
+    std::fprintf(stderr, "bad value for %s '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// Parses the common flags; exits 2 with a message on an unknown argument
+/// or a value that is not a number in range.
 inline CliOptions parse_cli(int argc, char** argv, const char* description) {
   CliOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -36,9 +71,9 @@ inline CliOptions parse_cli(int argc, char** argv, const char* description) {
     } else if (std::strcmp(arg, "--csv") == 0 && i + 1 < argc) {
       opts.csv_dir = argv[++i];
     } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      opts.seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      opts.seed = flag_value<std::uint64_t>(arg, argv[++i]);
     } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      opts.threads = std::atoi(argv[++i]);
+      opts.threads = flag_value(arg, argv[++i], 0, kMaxSweepThreads);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::printf("%s\n\nusage: %s [--full] [--csv DIR] [--seed N] [--threads N]\n", description,
                   argv[0]);

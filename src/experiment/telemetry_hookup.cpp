@@ -8,13 +8,15 @@ namespace rbs::experiment {
 
 ExperimentTelemetry::ExperimentTelemetry(sim::Simulation& sim, const TelemetryConfig& config)
     : sim_{sim}, config_{config} {
+  // First: the sampler rejects a non-positive interval, and a throw must not
+  // leave observers attached to sim_ (the destructor would not detach them).
+  if (config_.metrics) {
+    sampler_ = std::make_unique<telemetry::MetricsSampler>(sim_, config_.sample_interval);
+  }
   sim_.set_trace(config_.trace);
   if (config_.profile) {
     profiler_ = std::make_unique<telemetry::EngineProfiler>();
     sim_.set_profiler(profiler_.get());
-  }
-  if (config_.metrics) {
-    sampler_ = std::make_unique<telemetry::MetricsSampler>(sim_, config_.sample_interval);
   }
   if (config_.flow_stats) {
     telemetry::FlowStatsHub::Config fs;

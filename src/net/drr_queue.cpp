@@ -132,7 +132,7 @@ void DrrQueue::audit(check::AuditReport& report) const {
   // Visit flows in sorted-id order so violation messages are deterministic.
   std::vector<FlowId> ids;
   ids.reserve(flows_.size());
-  // rbs-lint: allow(unordered-iteration) -- keys are sorted before any use
+  // rbs-analyze: allow(R2) -- keys are sorted before any use
   for (const auto& [flow, state] : flows_) ids.push_back(flow);
   std::sort(ids.begin(), ids.end());
   for (const FlowId flow : ids) {

@@ -82,7 +82,7 @@ class PacketTracer {
   OverflowPolicy policy_;
   std::vector<Record> records_;
   std::size_t head_{0};  ///< oldest record under kRing once wrapped
-  // rbs-lint: allow(unordered-container) -- membership filter: insert + contains only, never iterated
+  // rbs-analyze: allow(R2) -- membership filter: insert + contains only, never iterated
   std::unordered_set<FlowId> flows_;
   std::uint64_t overflow_{0};
 };

@@ -1,6 +1,7 @@
 #include "stats/time_series.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 namespace rbs::stats {
 
@@ -23,7 +24,11 @@ std::string TimeSeries::to_csv() const {
 }
 
 PeriodicSampler::PeriodicSampler(sim::Simulation& sim, sim::SimTime interval, Probe probe)
-    : sim_{sim}, interval_{interval}, probe_{std::move(probe)} {}
+    : sim_{sim}, interval_{interval}, probe_{std::move(probe)} {
+  if (interval <= sim::SimTime::zero()) {
+    throw std::invalid_argument("PeriodicSampler: sample interval must be positive");
+  }
+}
 
 void PeriodicSampler::start(sim::SimTime first) {
   next_ = sim_.at(first, [this] { tick(); }, sim::EventClass::kSampler);

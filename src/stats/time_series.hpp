@@ -47,7 +47,8 @@ class TimeSeries {
 };
 
 /// Calls a probe function every `interval` and records the result.
-/// Sampling stops when the object is destroyed or stop() is called.
+/// Sampling stops when the object is destroyed or stop() is called. The
+/// constructor throws std::invalid_argument unless `interval` is positive.
 class PeriodicSampler {
  public:
   using Probe = std::function<double()>;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,8 +29,14 @@ class MetricsSampler {
  public:
   using Probe = std::function<double()>;
 
+  /// Throws std::invalid_argument unless `interval` is positive: a zero
+  /// cadence would re-arm the tick at one timestamp forever.
   MetricsSampler(sim::Simulation& sim, sim::SimTime interval)
-      : sim_{sim}, interval_{interval} {}
+      : sim_{sim}, interval_{interval} {
+    if (interval <= sim::SimTime::zero()) {
+      throw std::invalid_argument("MetricsSampler: sample interval must be positive");
+    }
+  }
 
   ~MetricsSampler() { stop(); }
   MetricsSampler(const MetricsSampler&) = delete;

@@ -88,7 +88,6 @@ class ShortFlowWorkload {
   ShortFlowWorkloadConfig config_;
   sim::Rng rng_;
 
-  // rbs-lint: allow(unordered-container) -- emplace/find/erase/size only; audit() sorts keys before iterating
   /// Keyed flow table. Ordered map, not unordered: audits and any future
   /// teardown sweep iterate it, and iteration order must not depend on hash
   /// layout (rbs-analyze rule R2).

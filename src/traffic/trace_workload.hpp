@@ -87,7 +87,6 @@ class TraceWorkload {
   TraceWorkloadConfig config_;
   std::vector<TraceRecord> records_;
 
-  // rbs-lint: allow(unordered-container) -- emplace/find/erase/size only; audit() sorts keys before iterating
   /// Ordered so audit/teardown iteration is hash-layout independent
   /// (rbs-analyze rule R2).
   std::map<net::FlowId, ActiveFlow> active_;

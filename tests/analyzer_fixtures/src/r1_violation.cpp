@@ -1,7 +1,9 @@
-// rbs-analyze-fixture-expect: R1 R1 R1 R1 R1
+// rbs-analyze-fixture-expect: R1 R1 R1 R1 R1 R1 R1 R1 R1
 // Every nondeterminism source R1 knows about, in one file.
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <ctime>
 #include <map>
 #include <random>
 
@@ -27,3 +29,16 @@ long bad_wall_clock_2() {
 
 // R1: pointer-keyed ordered container iterates in address order.
 std::map<Flow*, int> g_flow_weights;
+
+double bad_std_engine() {
+  std::mt19937_64 engine{7};                           // R1: std engine
+  std::uniform_real_distribution<double> unit{0, 1};  // R1: std distribution
+  return unit(engine);
+}
+
+long bad_time_call() {
+  return static_cast<long>(time(nullptr));  // R1: bare C time()
+}
+
+// R1: raw picosecond literal instead of a SimTime factory.
+constexpr std::int64_t kOneMillisecondPs = 1'000'000'000;

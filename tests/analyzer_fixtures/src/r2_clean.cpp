@@ -1,6 +1,7 @@
 // rbs-analyze-fixture-expect:
 // The three sanctioned ways to touch an unordered container:
 // key-lookup only, the collect-then-sort pattern, and a justified allow().
+// The declaration itself carries the waiver that says which of them holds.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <vector>
 
 struct Workload {
+  // rbs-analyze: allow(R2) -- lookups; iteration is sorted or order-independent
   std::unordered_map<std::int64_t, int> active_;
 
   int lookup(std::int64_t id) const { return active_.at(id); }

@@ -1,6 +1,7 @@
-// rbs-analyze-fixture-expect: R2 R2
+// rbs-analyze-fixture-expect: R2 R2 R2 R2 R2
 // Iterating an unordered container where the body's side effects make the
-// (hash-layout-dependent) visit order observable.
+// (hash-layout-dependent) visit order observable, and unordered containers
+// declared without a waiver that says why their order cannot leak.
 #include <cstdint>
 #include <cstdio>
 #include <unordered_map>
@@ -11,8 +12,8 @@ struct Sim {
 };
 
 struct Workload {
-  std::unordered_map<std::int64_t, int> active_;
-  std::unordered_set<std::int64_t> pending_;
+  std::unordered_map<std::int64_t, int> active_;  // R2: declared, no waiver
+  std::unordered_set<std::int64_t> pending_;      // R2: declared, no waiver
   Sim sim_;
 
   void kick() {
@@ -27,3 +28,5 @@ struct Workload {
     }
   }
 };
+
+std::unordered_multimap<std::int64_t, int> g_by_flow;  // R2: declared, no waiver

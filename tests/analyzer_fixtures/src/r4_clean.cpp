@@ -19,3 +19,7 @@ double good(const Config& config) {
   Rng arrivals = root.fork(kArrivalStream);  // named stream
   return arrivals.uniform();
 }
+
+double temporary(const Config& config) {
+  return Rng{config.seed}.uniform();  // a temporary, seeded from configuration
+}

@@ -1,5 +1,6 @@
-// rbs-analyze-fixture-expect: R4 R4 R4
+// rbs-analyze-fixture-expect: R4 R4 R4 R4 R4
 // RNG discipline violations: literal seeds and unseeded construction.
+// (`Rng();` below declares the constructor; it constructs nothing.)
 #include <cstdint>
 
 struct Rng {
@@ -22,4 +23,13 @@ double literal_seed_parens() {
 double unseeded() {
   Rng rng;  // R4: default-constructed
   return rng.uniform();
+}
+
+double empty_braces() {
+  Rng rng{};  // R4: value-initialized, no seed
+  return rng.uniform();
+}
+
+double seedless_temporary() {
+  return Rng().uniform();  // R4: temporary with no seed
 }

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "experiment/long_flow_experiment.hpp"
+#include "sim/simulation.hpp"
+#include "stats/time_series.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/sampler.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
@@ -240,6 +243,24 @@ TEST(ExperimentTelemetry, SeriesUtilizationMatchesReportedUtilization) {
   const double series_mean = r.telemetry.series.column_mean("utilization");
   EXPECT_NEAR(series_mean, r.utilization, 0.02);
   EXPECT_GT(series_mean, 0.1);
+}
+
+TEST(ExperimentTelemetry, ZeroSampleIntervalThrows) {
+  // A zero cadence would re-arm the sampler at one timestamp forever, so the
+  // run must be refused up front. (tests/CMakeLists.txt gives this binary a
+  // short TIMEOUT: a regression fails instead of hanging.)
+  auto cfg = small_config();
+  cfg.telemetry.sample_interval = sim::SimTime::zero();
+  EXPECT_THROW(run_long_flow_experiment(cfg), std::invalid_argument);
+}
+
+TEST(Samplers, RejectNonPositiveIntervals) {
+  sim::Simulation simulation;
+  for (const auto interval : {sim::SimTime::zero(), sim::SimTime::milliseconds(-1)}) {
+    EXPECT_THROW(telemetry::MetricsSampler(simulation, interval), std::invalid_argument);
+    EXPECT_THROW(stats::PeriodicSampler(simulation, interval, [] { return 0.0; }),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ExperimentTelemetry, TraceSessionCapturesARun) {
