@@ -43,6 +43,12 @@ def check_trace(path: str) -> int:
     phases_seen = set()
     for i, e in enumerate(events):
         where = f"{path}: traceEvents[{i}]"
+        if e.get("ph") == "M":
+            # Metadata: names the process a track exports as.
+            if not isinstance(e.get("pid"), int) or not e.get("args", {}).get("name"):
+                fail(f"{where}: metadata event needs pid and args.name: {e}")
+            phases_seen.add("M")
+            continue
         for key in ("name", "cat", "ph", "ts", "pid", "tid"):
             if key not in e:
                 fail(f"{where}: missing '{key}': {e}")

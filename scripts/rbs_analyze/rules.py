@@ -896,7 +896,6 @@ def rule_r8(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
 _R9_REGISTRY_CALL_RE = re.compile(r"(?:\.|->)\s*(?:counter|gauge|histogram)\s*\(")
 _R9_TRACE_METHOD_RE = re.compile(
     r"(?:\.|->)\s*(?:instant|complete|instant_with_detail)\s*\(")
-_R9_TRACE_MACRO_RE = re.compile(r"\bRBS_TRACE_(?:INSTANT|COMPLETE|COUNTER)\s*\(")
 _R9_STRING_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
@@ -977,9 +976,6 @@ def rule_r9(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
     for m in _R9_TRACE_METHOD_RE.finditer(text):
         # Category and event name.
         check_args(_r9_call_args(text, m.end() - 1)[:2])
-    for m in _R9_TRACE_MACRO_RE.finditer(text):
-        # Argument 0 is the session expression; 1 and 2 are cat and name.
-        check_args(_r9_call_args(text, m.end() - 1)[1:3])
     return findings
 
 

@@ -63,10 +63,11 @@ void FaultInjector::arm(const FaultSchedule& schedule) {
 }
 
 void FaultInjector::trace_edge(const char* edge, const FaultEvent& event) {
-  RBS_TRACE_INSTANT(sim_.trace(), "fault", fault_kind_name(event.kind), sim_.now(),
-                    telemetry::TraceArg{edge, 1},
-                    telemetry::TraceArg{
-                        "dur_ms", static_cast<std::int64_t>(event.duration.to_milliseconds())});
+  if (auto* tr = sim_.trace()) {
+    tr->instant("fault", fault_kind_name(event.kind), sim_.now(), telemetry::TraceArg{edge, 1},
+                telemetry::TraceArg{"dur_ms",
+                                    static_cast<std::int64_t>(event.duration.to_milliseconds())});
+  }
 }
 
 void FaultInjector::begin(Target& target, const FaultEvent& event) {

@@ -123,11 +123,10 @@ class Link final : public PacketSink {
   }
 
   /// Observation hooks (may be empty). `on_delivered` fires when a packet
-  /// finishes serialization; `on_drop` when the queue rejects one;
-  /// `on_queue_delay` reports each delivered packet's time at this hop
-  /// (queueing + serialization).
+  /// finishes serialization; `on_queue_delay` reports each delivered
+  /// packet's time at this hop (queueing + serialization). Drops are
+  /// counted in queue().stats() and, with a session attached, traced.
   std::function<void(const Packet&)> on_delivered;
-  std::function<void(const Packet&)> on_drop;
   std::function<void(sim::SimTime)> on_queue_delay;
 
  private:
@@ -144,10 +143,9 @@ class Link final : public PacketSink {
   void maybe_resume_service();
   void count_fault_drop(const char* reason, std::uint64_t LinkFaultStats::* counter);
 
-  /// Lazily interned "<name>/qlen" counter-track name for trace events
-  /// (interned storage outlives the link, so exports never dangle). Null
-  /// while no trace session is attached.
-  const char* trace_qlen_name();
+  /// This link's track id in the attached session `tr`, resolved (with the
+  /// interned "<name>/qlen" counter name) on the first event traced into it.
+  std::uint32_t trace_track(telemetry::TraceSession& tr);
 
   sim::Simulation& sim_;
   std::string name_;
@@ -164,6 +162,10 @@ class Link final : public PacketSink {
   /// order, as items of one scheduler lane.
   sim::Scheduler::LaneId wire_;
   LinkStats stats_;
+  /// Trace identity cached per attached session (Simulation::trace_generation):
+  /// this link's track there and its queue-depth counter name.
+  std::uint64_t trace_generation_{0};
+  std::uint32_t trace_track_{0};
   const char* trace_qlen_name_{nullptr};
   /// Cached registry counter (registry storage is stable); created on the
   /// first drop so unused links add no metrics.

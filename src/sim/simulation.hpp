@@ -8,8 +8,8 @@
 //
 // Telemetry: each Simulation owns a MetricsRegistry (components register
 // counters/gauges/histograms through metrics()) and optionally borrows a
-// TraceSession (set_trace()); producers emit through the RBS_TRACE_* macros,
-// which are no-ops while no session is attached.
+// TraceSession (set_trace()); producers emit only while one is attached
+// (`if (auto* tr = sim.trace())`).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,15 @@ class Simulation {
   /// borrowed — it must outlive this Simulation or be detached first — so
   /// one session can collect several short runs, and parallel sweep points
   /// simply leave tracing off.
-  void set_trace(telemetry::TraceSession* trace) noexcept { trace_ = trace; }
+  void set_trace(telemetry::TraceSession* trace) noexcept {
+    trace_ = trace;
+    ++trace_generation_;
+  }
   [[nodiscard]] telemetry::TraceSession* trace() const noexcept { return trace_; }
+  /// Bumped by every set_trace(), so producers that cache per-session state
+  /// (a link's track id) know to look it up again, even when a new session
+  /// reuses a destroyed one's address.
+  [[nodiscard]] std::uint64_t trace_generation() const noexcept { return trace_generation_; }
 
   /// Attaches an engine profiler to the scheduler (see Scheduler::set_profiler).
   void set_profiler(telemetry::EngineProfiler* profiler) noexcept {
@@ -112,6 +119,7 @@ class Simulation {
   Rng rng_;
   telemetry::MetricsRegistry metrics_;
   telemetry::TraceSession* trace_{nullptr};
+  std::uint64_t trace_generation_{0};
 };
 
 }  // namespace rbs::sim

@@ -160,9 +160,11 @@ void TcpSource::on_packet(const net::Packet& p) {
     if (cc_->on_ecn_reduction(cc_ctx())) {
       ecn_recover_ = snd_nxt_ - 1;
       ++stats_.ecn_reductions;
-      RBS_TRACE_INSTANT(sim_.trace(), "tcp", "ecn-cut", sim_.now(),
-                        (telemetry::TraceArg{"cwnd", static_cast<std::int64_t>(cc_->cwnd())}),
-                        telemetry::TraceArg{}, flow_);
+      if (auto* tr = sim_.trace()) {
+        tr->instant("tcp", "ecn-cut", sim_.now(),
+                    telemetry::TraceArg{"cwnd", static_cast<std::int64_t>(cc_->cwnd())},
+                    telemetry::TraceArg{}, flow_);
+      }
     }
   }
 
@@ -271,9 +273,10 @@ void TcpSource::handle_dup_ack() {
 
 void TcpSource::enter_fast_recovery() {
   ++stats_.fast_retransmits;
-  RBS_TRACE_INSTANT(sim_.trace(), "tcp", "fast-retransmit", sim_.now(),
-                    (telemetry::TraceArg{"seq", snd_una_}),
-                    (telemetry::TraceArg{"cwnd", static_cast<std::int64_t>(cc_->cwnd())}), flow_);
+  if (auto* tr = sim_.trace()) {
+    tr->instant("tcp", "fast-retransmit", sim_.now(), telemetry::TraceArg{"seq", snd_una_},
+                telemetry::TraceArg{"cwnd", static_cast<std::int64_t>(cc_->cwnd())}, flow_);
+  }
   cc_->on_loss_detected(cc_ctx());
   recover_ = snd_nxt_ - 1;
   if (cc_->loss_restarts_slow_start()) {
@@ -294,9 +297,10 @@ void TcpSource::enter_fast_recovery() {
 void TcpSource::on_timeout() {
   if (finished_) return;
   ++stats_.timeouts;
-  RBS_TRACE_INSTANT(sim_.trace(), "tcp", "timeout", sim_.now(),
-                    (telemetry::TraceArg{"seq", snd_una_}),
-                    (telemetry::TraceArg{"cwnd", static_cast<std::int64_t>(cc_->cwnd())}), flow_);
+  if (auto* tr = sim_.trace()) {
+    tr->instant("tcp", "timeout", sim_.now(), telemetry::TraceArg{"seq", snd_una_},
+                telemetry::TraceArg{"cwnd", static_cast<std::int64_t>(cc_->cwnd())}, flow_);
+  }
   rtt_.backoff();
 
   cc_->on_timeout(cc_ctx(), in_recovery_);

@@ -12,7 +12,7 @@ std::string num(double v) {
   return buf;
 }
 
-void json_escape_into(std::string& out, const std::string& s) {
+void json_escape_into(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace rbs::telemetry::detail {
 
@@ -20,7 +21,7 @@ namespace rbs::telemetry::detail {
 
 /// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
 /// control characters).
-void json_escape_into(std::string& out, const std::string& s);
+void json_escape_into(std::string& out, std::string_view s);
 
 /// RFC-4180: quote any cell containing a comma, quote, or newline; double
 /// embedded quotes.

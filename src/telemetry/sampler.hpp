@@ -76,8 +76,9 @@ class MetricsSampler {
     for (std::size_t i = 0; i < probes_.size(); ++i) {
       const double v = probes_[i]();
       row.push_back(v);
-      if (trace_names_[i] != nullptr) {
-        RBS_TRACE_COUNTER(sim_.trace(), "metrics", trace_names_[i], now, v);
+      TraceSession* tr = sim_.trace();
+      if (tr != nullptr && trace_names_[i] != nullptr) {
+        tr->counter("metrics", trace_names_[i], now, v);
       }
     }
     table_.times_ps.push_back(now.ps());

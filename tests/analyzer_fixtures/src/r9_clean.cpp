@@ -11,7 +11,6 @@ struct Registry {
 struct Trace {
   void instant(const char* cat, const char* name, long ts);
 };
-#define RBS_TRACE_INSTANT(s, cat, name, ts) ((s) != nullptr ? (s)->instant(cat, name, ts) : (void)0)
 
 const char* reason_name();
 
@@ -19,7 +18,7 @@ void emit(Registry& reg, Trace* tr) {
   reg.counter("link.drops").add(1);
   tr->instant("tcp", "timeout", 0);
   tr->instant("queue", reason_name(), 0);  // runtime name: out of scope
-  RBS_TRACE_INSTANT(tr, "tcp", "timeout", 0);
+  if (auto* t = tr) t->instant("tcp", "timeout", 0);
   // rbs-analyze: allow(R9) -- experimental gauge, intentionally undocumented
   reg.counter("engine.prototype_counter").add(1);
 }

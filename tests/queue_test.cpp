@@ -205,5 +205,28 @@ TEST_F(RedQueueTest, DefaultThresholdsDeriveFromLimit) {
   EXPECT_EQ(q.early_drops(), 0u);
 }
 
+TEST(DropTailByteLimit, EnforcesByteCeiling) {
+  DropTailQueue q{100, /*limit_bytes=*/core::Bytes{2500}};
+  Packet p;
+  p.size_bytes = 1000;
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_FALSE(q.enqueue(p));  // 3000 > 2500
+  p.size_bytes = 400;
+  EXPECT_TRUE(q.enqueue(p));  // 2400 fits
+  EXPECT_EQ(q.size_bytes(), 2400);
+  EXPECT_EQ(q.stats().dropped_packets, 1u);
+}
+
+TEST(DropTailByteLimit, ZeroMeansUnlimited) {
+  DropTailQueue q{3};
+  Packet p;
+  p.size_bytes = 1'000'000;
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_FALSE(q.enqueue(p));  // packet limit still applies
+}
+
 }  // namespace
 }  // namespace rbs::net

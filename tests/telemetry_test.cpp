@@ -201,14 +201,6 @@ TEST(TraceSession, ChromeJsonSchema) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(TraceMacros, NullSessionIsARuntimeNoop) {
-  telemetry::TraceSession* session = nullptr;
-  RBS_TRACE_INSTANT(session, "t", "e", sim::SimTime::zero());
-  RBS_TRACE_COMPLETE(session, "t", "e", sim::SimTime::zero(), sim::SimTime::zero());
-  RBS_TRACE_COUNTER(session, "t", "e", sim::SimTime::zero(), 1.0);
-  SUCCEED();
-}
-
 experiment::LongFlowExperimentConfig small_config() {
   experiment::LongFlowExperimentConfig cfg;
   cfg.num_flows = 8;
